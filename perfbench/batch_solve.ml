@@ -28,18 +28,26 @@ let laminar rng ~m = function
   | Random -> G.random_laminar rng ~m ()
   | Singletons -> T.singletons m
 
-(* One round: 24 small instances (n <= 16) with a medium instance
-   (n = 24 to 48) after every four, then one large instance (n = 64,
+(* One round: 40 small instances (n = 4 to 16) with a medium instance
+   (n = 24 to 40) after every seven, then one large instance (n = 64,
    smp-cmp or clustered in alternate rounds).  Families and sizes are
    the same in every round, so a run's mix does not depend on how many
-   rounds it completes and only the processing times vary with the
-   seed; the large instance takes about 40% of a round, so several
-   medium ones share the weight of the expensive tail. *)
+   rounds it completes and only the processing times vary with the seed.
+   The sizes are chosen so that the median operation lies inside the
+   n = 8 to 10 instances and the p90 one inside the n = 24 ones, never
+   between two size classes, and a run solves 300 to 600 instances, so
+   the statistics are properties of the mix rather than of the seed.
+   The large instance takes about 40% of a round. *)
+let small_sizes = [| 4; 6; 8; 8; 10; 10; 12; 16 |]
+let medium_sizes = [| 24; 24; 24; 24; 32; 40 |]
+
 let round_shapes k =
-  let small i = (families.(i mod 5), (if i mod 4 = 3 then 8 else 4), 4 + (2 * (i mod 7))) in
-  let medium j = (families.(j mod 5), 4, [| 24; 32; 40; 48; 32; 40 |].(j)) in
+  let small i = (families.(i mod 5), (if i mod 4 = 3 then 8 else 4), small_sizes.(i mod 8)) in
+  let medium j = (families.(j mod 5), 4, medium_sizes.(j)) in
   let large = ((if k mod 2 = 0 then Smp else Clustered), 4, 64) in
-  List.concat (List.init 6 (fun j -> List.init 4 (fun i -> small ((4 * j) + i)) @ [ medium j ])) @ [ large ]
+  List.concat
+    (List.init 40 (fun i -> small i :: (if i mod 7 = 6 || i = 39 then [ medium (i / 7) ] else [])))
+  @ [ large ]
 
 let generate_round rng k =
   List.map
@@ -52,11 +60,14 @@ let generate_round rng k =
 (* Rounds generated up front; a run that needs more cycles through them. *)
 let pregenerated_rounds = 24
 
-type op_result = { latency_s : float; ok : bool; ratio : float }
+(* [latency_s] on the process CPU clock, [wall_s] on the wall clock;
+   [period] is the host-speed period it ran in *)
+type op_result = { latency_s : float; wall_s : float; period : int; ok : bool; ratio : float }
 
 (* parse -> solve -> certify, the operation a user of [solve --check] waits for *)
 let solve_op text =
-  let t0 = now () in
+  let period = Speed.tick () in
+  let t0 = now () and c0 = cpu_now () in
   let ok, ratio =
     span "bench.op" (fun () ->
         match span "io.parse" (fun () -> Io.of_string text) with
@@ -69,7 +80,7 @@ let solve_op text =
                 ( Hs_check.Verdict.ok v && o.A.makespan <= 2 * o.A.t_lp,
                   float o.A.makespan /. float o.A.t_lp )))
   in
-  { latency_s = now () -. t0; ok; ratio }
+  { latency_s = cpu_now () -. c0; wall_s = now () -. t0; period; ok; ratio }
 
 let count_failed = List.fold_left (fun a r -> if r.ok then a else a + 1) 0
 
@@ -92,7 +103,7 @@ let run ~seed ~seconds ~trace =
     ignore (solve_op (fst (List.hd rounds.(0))));
     (rounds, ignore)
   in
-  let rounds, setup_s, setup_reps = timed_setup ~reps:5 setup in
+  let rounds, setup_s, setup_reps = timed_setup ~reps:5 ~sample:(fun () -> Speed.time now) setup in
   let digest = combined_digest (Array.to_list rounds |> List.concat_map (List.map snd)) in
   let detail_common =
     [
@@ -103,13 +114,16 @@ let run ~seed ~seconds ~trace =
     ]
   in
   if not trace then begin
+    Speed.start cpu_now;
     let per_round, elapsed =
       timed_phase rounds ~seconds ~min_rounds:ratio_rounds ~min_ops:(min_samples tail_pct)
         ~on_round:ignore
     in
     let results = List.concat per_round in
     let n = List.length results and failed = count_failed results in
-    let lat = Array.of_list (List.map (fun r -> r.latency_s) results) in
+    let tm =
+      closed_loop ~tail_pct ~elapsed (List.map (fun r -> (r.latency_s, r.wall_s, r.period)) results)
+    in
     let ratios =
       Array.of_list
         (List.concat_map (List.map (fun r -> r.ratio)) (List.filteri (fun i _ -> i < ratio_rounds) per_round))
@@ -121,12 +135,12 @@ let run ~seed ~seconds ~trace =
       end_to_end =
         [
           ("setup_s", setup_s);
-          ("ops_per_s", float n /. elapsed);
-          ("latency_p50_ms", median lat *. 1e3);
-          ("latency_tail_ms", percentile lat tail_pct *. 1e3);
+          ("ops_per_s", tm.ops_per_s);
+          ("latency_p50_ms", tm.p50_ms);
+          ("latency_tail_ms", tm.tail_ms);
           (* not served at a rate: the closed-loop capacity of the one
              solver domain *)
-          ("max_rps_at_slo", float n /. elapsed);
+          ("max_rps_at_slo", tm.ops_per_s);
           ("ok_share", 1. -. ratio (float failed) (float n));
           ("ratio_vs_lp", mean ratios);
           ("peak_rss_mb", peak_rss_mb "self");
@@ -136,7 +150,9 @@ let run ~seed ~seconds ~trace =
         detail_common
         @ [
             ("rounds", Json.Int (List.length per_round));
-            ("elapsed_s", Json.Float elapsed);
+          ]
+        @ tm.timing_detail
+        @ [
             ("failed_share", Json.Float (ratio (float failed) (float n)));
             ("tail", Json.Obj [ ("percentile", Json.Float tail_pct); ("samples", Json.Int n) ]);
           ];
@@ -179,7 +195,7 @@ let run ~seed ~seconds ~trace =
             ("self.check_ms", per_op (self_of t.spans [ "check.certify" ]) *. 1e3);
             ("self.bench_ms", per_op (self_of t.spans [ "bench.op" ]) *. 1e3);
             ( "trace.overhead_share",
-              1. -. ratio (float nops /. traced_s) (float (List.length plain) /. plain_s) );
+              1. -. ratio (float nops /. traced_s.cpu_s) (float (List.length plain) /. plain_s.cpu_s) );
           ];
       detail = detail_common @ [ ("traced_ops", Json.Int nops); ("plain_ops", Json.Int (List.length plain)) ];
     }
