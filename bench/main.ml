@@ -611,10 +611,10 @@ let run_online ~quick ~jobs () =
 
 (* ---------------- LP engine bench --------------------------------------- *)
 
-(* Solver-scaling study of the two simplex engines (DESIGN.md §16): a
-   size ladder of single LP-feasibility solves timed under the dense
-   tableau, the sparse revised engine, and the sparse engine with the
-   float pre-solve; cold-vs-warm pivot counts for the Theorem V.2
+(* Solver-scaling study of the LP engine (DESIGN.md §16): a size ladder
+   of single LP-feasibility solves timed under the sparse revised engine
+   (float, exact, and exact with the float pre-solve) next to the dense
+   reference tableau; cold-vs-warm pivot counts for the Theorem V.2
    binary search (one warm store shared by its probes); and the
    growth-family online replay solved cold and warm-started.  The dense
    tableau and exact arithmetic are capped to the sizes they can carry —
@@ -624,10 +624,11 @@ let run_online ~quick ~jobs () =
    replay fails to use strictly fewer pivots than the cold one or
    diverges from it. *)
 let run_lp ~quick () =
-  print_endline "\n== LP engines: dense vs sparse revised, cold vs warm (Hs_lp) ==";
+  print_endline "\n== LP engines: sparse revised vs dense reference, cold vs warm (Hs_lp) ==";
   let module I = Hs_core.Ilp.Make (Hs_lp.Field.Exact) in
   let module IF = Hs_core.Ilp.Make (Hs_lp.Field.Float) in
-  let module E = Hs_lp.Engine in
+  let module R = Hs_lp.Revised.Make (Hs_lp.Field.Exact) in
+  let module Dense = Hs_lp.Tableau.Make (Hs_lp.Field.Exact) in
   let counter snap name =
     Option.value ~default:0 (List.assoc_opt name snap.Hs_obs.Metrics.counters)
   in
@@ -676,7 +677,9 @@ let run_lp ~quick () =
               ("pivots", Hs_obs.Json.Int (counter snap "simplex.pivots"));
               ("budget_exhausted", Hs_obs.Json.Bool false);
             ] )
-    | exception Hs_core.Hs_error.Error (Hs_core.Hs_error.Budget_exhausted _) ->
+    | exception
+        ( Hs_core.Hs_error.Error (Hs_core.Hs_error.Budget_exhausted _)
+        | Hs_lp.Simplex.Pivot_limit ) ->
         (name, Hs_obs.Json.Obj [ ("budget_exhausted", Hs_obs.Json.Bool true) ])
   in
   let scaling_row (n, m, row_allowance) =
@@ -686,31 +689,33 @@ let run_lp ~quick () =
     | Some (_, hi) ->
         (* Solve at the certified upper bound: always feasible, so every
            engine does the same full phase-1 work. *)
-        let exact engine () =
-          E.with_engine engine (fun () ->
-              I.lp_feasible_x ~pivots:(Hs_lp.Simplex.budget row_allowance) inst
-                ~tmax:hi
-              <> None)
+        let budget () = Hs_lp.Simplex.budget row_allowance in
+        let exact () = I.lp_feasible_x ~pivots:(budget ()) inst ~tmax:hi <> None in
+        (* The reference tableau takes the bare relaxation: it is not
+           behind the Ilp entry points, which run the production engine. *)
+        let dense () =
+          match I.relaxation inst ~tmax:hi with
+          | None -> false
+          | Some (lp, _) -> (
+              let lp = { lp with Hs_lp.Lp_problem.objective = [] } in
+              match Dense.solve ~budget:(budget ()) lp with
+              | R.Optimal _ -> true
+              | R.Infeasible | R.Unbounded -> false)
         in
         let cases =
           [ feasibility_case "sparse_float"
-              (fun () ->
-                E.with_engine E.Sparse (fun () ->
-                    IF.lp_feasible_x ~pivots:(Hs_lp.Simplex.budget row_allowance)
-                      inst ~tmax:hi
-                    <> None)) ]
+              (fun () -> IF.lp_feasible_x ~pivots:(budget ()) inst ~tmax:hi <> None) ]
           @ (if n <= exact_cap then
-               [ feasibility_case "sparse_exact" (exact E.Sparse);
+               [ feasibility_case "sparse_exact" exact;
                  feasibility_case "sparse_exact_presolve"
                    (fun () ->
-                     E.set_presolve true;
+                     Hs_lp.Engine.set_presolve true;
                      Fun.protect
-                       ~finally:(fun () -> E.set_presolve false)
-                       (exact E.Sparse)) ]
+                       ~finally:(fun () -> Hs_lp.Engine.set_presolve false)
+                       exact) ]
              else [])
           @
-          if n <= dense_cap then [ feasibility_case "dense_exact" (exact E.Dense) ]
-          else []
+          if n <= dense_cap then [ feasibility_case "dense_exact" dense ] else []
         in
         let wall_of name =
           match List.assoc_opt name cases with

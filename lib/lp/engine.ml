@@ -1,24 +1,10 @@
-(* Process-wide LP engine selection; interface documentation in engine.mli. *)
+(* LP engine identity and the float pre-solve switch; interface
+   documentation in engine.mli. *)
 
-type t = Dense | Sparse
+type t = Sparse
 
-let current = ref Sparse
 let presolve = ref false
-
-let set e = current := e
-let get () = !current
-
+let get () = Sparse
 let set_presolve b = presolve := b
 let presolve_enabled () = !presolve
-
-let to_string = function Dense -> "dense" | Sparse -> "sparse"
-
-let of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | _ -> None
-
-let with_engine e f =
-  let saved = !current in
-  current := e;
-  Fun.protect ~finally:(fun () -> current := saved) f
+let to_string Sparse = "sparse"

@@ -1,22 +1,18 @@
-(** Process-wide LP engine selection.
+(** LP engine identity and the float pre-solve switch.
 
-    Two interchangeable simplex engines live in this library: the dense
-    two-phase tableau ({!Simplex}, the historical implementation, kept
-    as the differential oracle) and the sparse revised simplex
-    ({!Revised}, the default).  Both run the same pivot rules over the
-    same standard form, so with {!Field.Exact} they follow identical
-    pivot trajectories on non-degenerate-row problems and return
-    identical solutions — the CLI output is byte-identical either way.
+    Every production LP runs on the sparse revised simplex ({!Revised})
+    behind {!Simplex.Make}; {!Tableau} is a reference kept for tests and
+    benches only and is never selected here.  The engine value survives
+    so reports (the benchmark's environment line, for instance) can
+    name the engine that produced their numbers. *)
 
-    The selection is a process-wide default consulted by the public
-    entry points of {!Simplex.Make}; the CLI's [--lp-engine] flag sets
-    it once at startup. *)
+type t = Sparse
 
-type t = Dense | Sparse
-
-val set : t -> unit
 val get : unit -> t
-(** The current engine; initially {!Sparse}. *)
+(** The engine behind {!Simplex.Make}: always {!Sparse}. *)
+
+val to_string : t -> string
+(** ["sparse"]. *)
 
 val set_presolve : bool -> unit
 
@@ -25,13 +21,3 @@ val presolve_enabled : unit -> bool
     floating-point revised simplex and promote it to exact Q (the guess
     is always re-verified exactly; a float "infeasible" is never
     trusted).  Off by default; the CLI's [--lp-presolve] enables it. *)
-
-val to_string : t -> string
-
-val of_string : string -> t option
-(** ["dense"] / ["sparse"]. *)
-
-val with_engine : t -> (unit -> 'a) -> 'a
-(** Run a thunk under a temporary engine selection, restoring the
-    previous one afterwards (exception-safe).  Used by the differential
-    tests to query both engines side by side. *)

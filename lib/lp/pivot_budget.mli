@@ -1,7 +1,7 @@
 (** Deterministic pivot allowances and the LP telemetry cells, shared by
-    the dense tableau ({!Simplex}) and the sparse revised engine
-    ({!Revised}).  {!Simplex} re-exports the type and exceptions under
-    their historical names, so existing callers are unaffected. *)
+    the sparse revised engine ({!Revised}) and the dense reference
+    tableau ({!Tableau}).  {!Simplex} re-exports the type and exceptions
+    under their historical names, so existing callers are unaffected. *)
 
 type t = { mutable pivots_left : int; total : int }
 

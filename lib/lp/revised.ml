@@ -1,7 +1,7 @@
 (* Sparse revised simplex with a product-form-of-the-inverse eta file.
 
-   The pivot RULES here deliberately mirror lib/lp/simplex.ml line for
-   line: the same standard form and column numbering, the same rhs
+   The pivot RULES here deliberately mirror the dense reference tableau
+   in lib/lp/tableau.ml line for line: the same standard form and column numbering, the same rhs
    normalisation, the same Dantzig/Bland entering rules, the same
    minimum-ratio leaving rule with ties broken by the smallest basic
    column, the same degenerate-stall accounting, and the same
@@ -14,7 +14,7 @@
    direction), all O(nnz)-ish.  The test suite leans on the mirror:
    test/test_revised.ml compares the engines pivot for pivot.
 
-   What the dense oracle does not have is the basis lifecycle: a solve
+   What the dense reference does not have is the basis lifecycle: a solve
    can start from a structural {!Basis.t} descriptor saved from a
    previous (similar) problem.  The proposed columns are re-factorised
    from scratch; dependent or vanished entries are dropped, missing
@@ -357,8 +357,7 @@ module Make (F : Field.S) = struct
 
   (* The per-row dual value with the rhs-flip undone — used both for the
      Farkas witness (phase-1 multipliers) and the optimality certificate
-     (phase-2 multipliers); the dense engine recovers the same numbers
-     from its final cost row. *)
+     (phase-2 multipliers). *)
   let row_duals core (y : F.t array) =
     Array.mapi
       (fun r info -> if info.flipped then F.neg y.(r) else y.(r))

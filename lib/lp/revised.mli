@@ -1,12 +1,14 @@
 (** Sparse revised simplex over {!Sparse} CSR matrices with a
-    product-form eta file and warm-startable bases.
+    product-form eta file and warm-startable bases — the one production
+    LP engine, reached through {!Simplex.Make} (which adds telemetry and
+    the float pre-solve hint and re-exports these types).
 
     Pivot rules (standard form, entering/leaving selection, tie-breaks,
     degeneracy policy, budget charging) deliberately mirror the dense
-    tableau in {!Simplex}: with {!Field.Exact} both engines walk the
+    reference tableau in {!Tableau}: with {!Field.Exact} both walk the
     same pivot trajectory and return the same vertex, which is what the
     differential suite in [test/test_revised.ml] checks.  The addition
-    over the dense oracle is the basis lifecycle: {!Make.feasible_basis}
+    over the dense reference is the basis lifecycle: {!Make.feasible_basis}
     returns a structural {!Basis.t} descriptor that a later solve on a
     similar problem can pass back as [?warm].  Proposed bases are
     re-factorised and re-verified in the solver's own field — dependent
@@ -37,7 +39,7 @@ module Make (F : Field.S) : sig
   (** Two-phase revised simplex (minimising by default).  An accepted
       [?warm] basis skips phase 1; a rejected one falls back to a cold
       start.  May raise {!Pivot_budget.Pivot_limit} or
-      {!Pivot_budget.Stall} exactly as the dense engine does. *)
+      {!Pivot_budget.Stall} exactly as {!Tableau} does. *)
 
   val feasible :
     ?pricing:pricing ->
@@ -63,8 +65,8 @@ module Make (F : Field.S) : sig
     ?on_stall:[ `Bland | `Fail ] ->
     F.t Lp_problem.t ->
     feasibility
-  (** Feasibility with a Farkas infeasibility certificate, mirroring
-      the dense engine's [feasible_certified]. *)
+  (** Feasibility with a Farkas infeasibility certificate (recovered
+      from the phase-1 multipliers). *)
 
   val solve_certified : F.t Lp_problem.t -> certified_result
   (** Unbudgeted certified solve (minimisation) returning optimal duals

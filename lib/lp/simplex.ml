@@ -1,22 +1,9 @@
-(* Dense two-phase tableau simplex.
+(* The production LP entry points: the sparse revised engine
+   ({!Revised}) behind per-solve telemetry, the optional float pre-solve
+   hint, and independent checkers for its certificates. *)
 
-   Conventions:
-   - columns [0 .. nvars-1]            original variables
-   - columns [nvars .. art_start-1]    slack / surplus variables
-   - columns [art_start .. ncols-1]    artificial variables (phase 1 only)
-   - each row array has length ncols+1, the last entry being the rhs
-   - the cost row has the same length; its last entry holds the negated
-     current objective value and is updated by the same pivot operations.
-
-   Pricing: Dantzig's rule (most negative reduced cost) by default, with
-   a permanent switch to Bland's rule after a run of degenerate pivots;
-   the leaving row always follows Bland's tie-breaking.  Since Bland's
-   rule terminates from any basis, the combination terminates even on
-   degenerate tableaus while keeping Dantzig's practical pivot counts. *)
-
-(* Budgets, exceptions and metric cells live in {!Pivot_budget} so the
-   sparse revised engine can share them; re-exported here under their
-   historical names. *)
+(* Budgets, exceptions and metric cells live in {!Pivot_budget};
+   re-exported here under their historical names. *)
 type budget = Pivot_budget.t = { mutable pivots_left : int; total : int }
 
 let budget = Pivot_budget.budget
@@ -28,271 +15,23 @@ exception Stall = Pivot_budget.Stall
 module Obs = Pivot_budget.Obs
 
 module Make (F : Field.S) = struct
-  type solution = { x : F.t array; objective : F.t; basic : bool array }
-  type result = Optimal of solution | Infeasible | Unbounded
+  module R = Revised.Make (F)
+  module RFloat = Revised.Make (Field.Float)
 
-  type tableau = {
-    mutable rows : F.t array array;
-    mutable basis : int array;
-    ncols : int;
-    nvars : int;
-    art_start : int;
-    row_info : row_info array;
-        (* per original constraint, in declaration order: how it was
-           normalised and which auxiliary columns it received — used to
-           recover dual (Farkas) values from the phase-1 cost row *)
-  }
+  type solution = R.solution = { x : F.t array; objective : F.t; basic : bool array }
+  type result = R.result = Optimal of solution | Infeasible | Unbounded
+  type pricing = R.pricing = Bland | Dantzig
 
-  and row_info = {
-    flipped : bool;  (* the row was negated to make its rhs non-negative *)
-    surplus : int option;  (* column of a -1 slack (>= rows) *)
-    slack : int option;  (* column of a +1 slack (<= rows) *)
-    art : int option;  (* column of the artificial, if any *)
-  }
+  type feasibility = R.feasibility =
+    | Feasible of solution
+    | Infeasible_certificate of F.t array
 
-  let pivot t cost ~row ~col =
-    let prow = t.rows.(row) in
-    let piv = prow.(col) in
-    for j = 0 to t.ncols do
-      prow.(j) <- F.div prow.(j) piv
-    done;
-    let eliminate r =
-      if r != prow then begin
-        let f = r.(col) in
-        if F.sign f <> 0 then
-          for j = 0 to t.ncols do
-            r.(j) <- F.sub r.(j) (F.mul f prow.(j))
-          done
-      end
-    in
-    Array.iter eliminate t.rows;
-    eliminate cost;
-    t.basis.(row) <- col
+  type certified = R.certified = { primal : solution; duals : F.t array }
 
-  type pricing = Bland | Dantzig
-
-  (* Entering rules over the allowed column range: Bland picks the
-     smallest eligible index (anti-cycling), Dantzig the most negative
-     reduced cost (fewer pivots in practice). *)
-  let entering pricing cost ~max_col =
-    match pricing with
-    | Bland ->
-        let rec go j =
-          if j >= max_col then None
-          else if F.sign cost.(j) < 0 then Some j
-          else go (j + 1)
-        in
-        go 0
-    | Dantzig ->
-        let best = ref None in
-        for j = 0 to max_col - 1 do
-          if F.sign cost.(j) < 0 then
-            match !best with
-            | None -> best := Some j
-            | Some b -> if F.compare cost.(j) cost.(b) < 0 then best := Some j
-        done;
-        !best
-
-  (* Bland leaving rule: minimum ratio, ties by smallest basic column. *)
-  let leaving t ~col =
-    let best = ref None in
-    Array.iteri
-      (fun r row ->
-        if F.sign row.(col) > 0 then begin
-          let ratio = F.div row.(t.ncols) row.(col) in
-          match !best with
-          | None -> best := Some (r, ratio)
-          | Some (br, bratio) ->
-              let c = F.compare ratio bratio in
-              if c < 0 || (c = 0 && t.basis.(r) < t.basis.(br)) then
-                best := Some (r, ratio)
-        end)
-      t.rows;
-    Option.map fst !best
-
-  (* Dantzig pricing does not terminate on its own under degeneracy; we
-     count consecutive zero-progress (degenerate) pivots and fall back to
-     Bland's rule permanently once they exceed a threshold, which
-     guarantees termination from any basis.  [on_stall] picks what
-     happens at the threshold: [`Bland] switches rules silently (the
-     historical behaviour), [`Fail] raises {!Stall} so the caller can
-     restart the whole solve under Bland's rule explicitly.  [budget], if
-     given, is decremented once per pivot across every call sharing it;
-     {!Pivot_limit} is raised when it runs dry. *)
-  let optimize ?(pricing = Dantzig) ?budget ?(on_stall = `Bland) t cost ~max_col =
-    let charge () = Pivot_budget.charge budget in
-    let degenerate_limit = (2 * t.ncols) + 16 in
-    let rec go pricing degenerate =
-      match entering pricing cost ~max_col with
-      | None -> `Optimal
-      | Some col -> (
-          match leaving t ~col with
-          | None -> `Unbounded
-          | Some row ->
-              let zero_progress = F.sign t.rows.(row).(t.ncols) = 0 in
-              charge ();
-              if zero_progress then Hs_obs.Metrics.incr Obs.degenerate;
-              pivot t cost ~row ~col;
-              if pricing = Bland then go Bland 0
-              else if zero_progress then
-                if degenerate + 1 > degenerate_limit then
-                  match on_stall with `Bland -> go Bland 0 | `Fail -> raise Stall
-                else go pricing (degenerate + 1)
-              else go pricing 0)
-    in
-    go pricing 0
-
-  (* Densify a sparse term list, summing duplicate variable entries. *)
-  let densify nvars terms =
-    let a = Array.make nvars F.zero in
-    List.iter (fun (v, c) -> a.(v) <- F.add a.(v) c) terms;
-    a
-
-  let build (p : F.t Lp_problem.t) =
-    let open Lp_problem in
-    let nvars = p.nvars in
-    let raw =
-      List.map
-        (fun c ->
-          let coeffs = densify nvars c.terms in
-          (* Ensure a non-negative rhs, flipping the relation as needed. *)
-          if F.sign c.rhs < 0 then begin
-            Array.iteri (fun i x -> coeffs.(i) <- F.neg x) coeffs;
-            let rel = match c.rel with Le -> Ge | Ge -> Le | Eq -> Eq in
-            (coeffs, rel, F.neg c.rhs, true)
-          end
-          else (coeffs, c.rel, c.rhs, false))
-        p.constrs
-    in
-    let nrows = List.length raw in
-    let nslack =
-      List.fold_left
-        (fun acc (_, rel, _, _) -> match rel with Le | Ge -> acc + 1 | Eq -> acc)
-        0 raw
-    in
-    let nart =
-      List.fold_left
-        (fun acc (_, rel, _, _) -> match rel with Ge | Eq -> acc + 1 | Le -> acc)
-        0 raw
-    in
-    let art_start = nvars + nslack in
-    let ncols = art_start + nart in
-    let rows = Array.init nrows (fun _ -> Array.make (ncols + 1) F.zero) in
-    let basis = Array.make nrows (-1) in
-    let row_info =
-      Array.make nrows { flipped = false; surplus = None; slack = None; art = None }
-    in
-    let next_slack = ref nvars and next_art = ref art_start in
-    List.iteri
-      (fun r (coeffs, rel, rhs, flipped) ->
-        let row = rows.(r) in
-        Array.blit coeffs 0 row 0 nvars;
-        row.(ncols) <- rhs;
-        (match rel with
-        | Lp_problem.Le ->
-            row.(!next_slack) <- F.one;
-            basis.(r) <- !next_slack;
-            row_info.(r) <- { flipped; surplus = None; slack = Some !next_slack; art = None };
-            incr next_slack
-        | Lp_problem.Ge ->
-            row.(!next_slack) <- F.neg F.one;
-            row_info.(r) <- { flipped; surplus = Some !next_slack; slack = None; art = None };
-            incr next_slack;
-            row.(!next_art) <- F.one;
-            basis.(r) <- !next_art;
-            row_info.(r) <- { row_info.(r) with art = Some !next_art };
-            incr next_art
-        | Lp_problem.Eq ->
-            row.(!next_art) <- F.one;
-            basis.(r) <- !next_art;
-            row_info.(r) <- { flipped; surplus = None; slack = None; art = Some !next_art };
-            incr next_art))
-      raw;
-    { rows; basis; ncols; nvars; art_start; row_info }
-
-  (* Phase 1: minimise the sum of artificial variables. *)
-  let phase1 ?pricing ?budget ?on_stall t =
-    let cost = Array.make (t.ncols + 1) F.zero in
-    for j = t.art_start to t.ncols - 1 do
-      cost.(j) <- F.one
-    done;
-    (* Canonicalise: basic artificial columns must have zero reduced cost. *)
-    Array.iteri
-      (fun r b ->
-        if b >= t.art_start then
-          let row = t.rows.(r) in
-          for j = 0 to t.ncols do
-            cost.(j) <- F.sub cost.(j) row.(j)
-          done)
-      t.basis;
-    match optimize ?pricing ?budget ?on_stall t cost ~max_col:t.ncols with
-    | `Unbounded ->
-        (* The phase-1 objective is bounded below by zero. *)
-        assert false
-    | `Optimal ->
-        (* Objective value is -cost.(ncols). *)
-        (F.sign (F.neg cost.(t.ncols)) = 0, cost)
-
-  (* Recover the phase-1 dual values (one per original constraint) from
-     the final reduced-cost row: for slack/surplus columns the original
-     cost is 0, so redcost = ∓y; for artificial columns it is 1, so
-     redcost = 1 - y.  Flipped rows get their dual negated back.  When
-     the phase-1 optimum is positive, this vector is a Farkas witness of
-     primal infeasibility (weak duality gives yᵀb > 0). *)
-  let farkas_of_phase1 t cost =
-    Array.map
-      (fun info ->
-        let y =
-          match (info.surplus, info.slack, info.art) with
-          | Some col, _, _ -> cost.(col)
-          | _, Some col, _ -> F.neg cost.(col)
-          | _, _, Some col -> F.sub F.one cost.(col)
-          | None, None, None -> assert false
-        in
-        if info.flipped then F.neg y else y)
-      t.row_info
-
-  (* Remove artificial variables from the basis; delete redundant rows. *)
-  let drive_out_artificials t cost =
-    let keep = Array.make (Array.length t.rows) true in
-    Array.iteri
-      (fun r b ->
-        if b >= t.art_start then begin
-          let row = t.rows.(r) in
-          let rec find j =
-            if j >= t.art_start then None
-            else if F.sign row.(j) <> 0 then Some j
-            else find (j + 1)
-          in
-          match find 0 with
-          | Some col -> pivot t cost ~row:r ~col
-          | None -> keep.(r) <- false (* redundant constraint *)
-        end)
-      t.basis;
-    if Array.exists not keep then begin
-      let rows = ref [] and basis = ref [] in
-      Array.iteri
-        (fun r row ->
-          if keep.(r) then begin
-            rows := row :: !rows;
-            basis := t.basis.(r) :: !basis
-          end)
-        t.rows;
-      t.rows <- Array.of_list (List.rev !rows);
-      t.basis <- Array.of_list (List.rev !basis)
-    end
-
-  let extract t ~objective =
-    let x = Array.make t.nvars F.zero in
-    let basic = Array.make t.nvars false in
-    Array.iteri
-      (fun r b ->
-        if b < t.nvars then begin
-          x.(b) <- t.rows.(r).(t.ncols);
-          basic.(b) <- true
-        end)
-      t.basis;
-    { x; objective; basic }
+  type certified_result = R.certified_result =
+    | Certified_optimal of certified
+    | Certified_infeasible of F.t array
+    | Certified_unbounded
 
   (* Per-solve telemetry: one span per public solver entry and the
      pivots-per-solve histogram (delta of the shared pivot counter).
@@ -313,21 +52,6 @@ module Make (F : Field.S) = struct
         ]
       "simplex.solve"
       (fun () -> Fun.protect ~finally:observe f)
-
-  (* ---- sparse engine bridge ---------------------------------------
-
-     Both engines sit behind the same public entry points; {!Engine}
-     picks which one actually pivots.  All the instrumentation (spans,
-     solve counters, pivot histograms) stays on this side of the
-     dispatch so the two engines are observed identically. *)
-
-  module R = Revised.Make (F)
-  module RFloat = Revised.Make (Field.Float)
-
-  let to_rpricing = function Bland -> R.Bland | Dantzig -> R.Dantzig
-
-  let of_rsolution (s : R.solution) =
-    { x = s.R.x; objective = s.R.objective; basic = s.R.basic }
 
   (* Float pre-solve: guess the optimal basis numerically and promote it
      to the exact field as a warm-start hint.  The guess is re-verified
@@ -358,51 +82,9 @@ module Make (F : Field.S) = struct
     | None -> warm
     | exception Division_by_zero -> warm
 
-  let dense_solve ?pricing ?budget ?on_stall ~maximize (p : F.t Lp_problem.t) =
-    let p =
-      if maximize then
-        { p with Lp_problem.objective = List.map (fun (v, c) -> (v, F.neg c)) p.Lp_problem.objective }
-      else p
-    in
-    let t = build p in
-    if not (fst (phase1 ?pricing ?budget ?on_stall t)) then Infeasible
-    else begin
-      let cost = Array.make (t.ncols + 1) F.zero in
-      List.iter
-        (fun (v, c) -> cost.(v) <- F.add cost.(v) c)
-        p.Lp_problem.objective;
-      (* Canonicalise with respect to the phase-1 basis. *)
-      drive_out_artificials t cost;
-      Array.iteri
-        (fun r b ->
-          if F.sign cost.(b) <> 0 then begin
-            let row = t.rows.(r) in
-            let f = cost.(b) in
-            for j = 0 to t.ncols do
-              cost.(j) <- F.sub cost.(j) (F.mul f row.(j))
-            done
-          end)
-        t.basis;
-      match optimize ?pricing ?budget ?on_stall t cost ~max_col:t.art_start with
-      | `Unbounded -> Unbounded
-      | `Optimal ->
-          let obj = F.neg cost.(t.ncols) in
-          let obj = if maximize then F.neg obj else obj in
-          Optimal (extract t ~objective:obj)
-    end
-
   let solve ?pricing ?budget ?on_stall ?(maximize = false) (p : F.t Lp_problem.t) =
     instrumented ~what:"solve" p @@ fun () ->
-    match Engine.get () with
-    | Engine.Dense -> dense_solve ?pricing ?budget ?on_stall ~maximize p
-    | Engine.Sparse -> (
-        match
-          R.solve ?pricing:(Option.map to_rpricing pricing) ?budget ?on_stall
-            ~maximize p
-        with
-        | R.Optimal s -> Optimal (of_rsolution s)
-        | R.Infeasible -> Infeasible
-        | R.Unbounded -> Unbounded)
+    R.solve ?pricing ?budget ?on_stall ~maximize p
 
   let feasible ?pricing ?budget ?on_stall p =
     match solve ?pricing ?budget ?on_stall { p with Lp_problem.objective = [] } with
@@ -410,117 +92,16 @@ module Make (F : Field.S) = struct
     | Infeasible -> None
     | Unbounded -> assert false
 
-  (* Dense twin of the revised engine's basis descriptor: read the final
-     basis off the tableau (redundant rows were deleted, artificials
-     cannot remain basic at a nonzero level once feasible). *)
-  let dense_feasible_basis ?pricing ?budget ?on_stall (p : F.t Lp_problem.t) =
-    let p = { p with Lp_problem.objective = [] } in
-    let t = build p in
-    if not (fst (phase1 ?pricing ?budget ?on_stall t)) then None
-    else begin
-      let cost = Array.make (t.ncols + 1) F.zero in
-      drive_out_artificials t cost;
-      let aux_owner = Array.make (Stdlib.max 1 t.ncols) (-1) in
-      Array.iteri
-        (fun r info ->
-          (match info.surplus with Some c -> aux_owner.(c) <- r | None -> ());
-          match info.slack with Some c -> aux_owner.(c) <- r | None -> ())
-        t.row_info;
-      let basis =
-        Array.to_list t.basis
-        |> List.filter_map (fun b ->
-               if b < t.nvars then Some (Basis.Var b)
-               else if b < t.art_start then Some (Basis.Aux aux_owner.(b))
-               else None)
-      in
-      Some (extract t ~objective:F.zero, basis)
-    end
-
   let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
     instrumented ~what:"feasible_basis" p @@ fun () ->
     let warm = match warm with Some [] -> None | w -> w in
-    match Engine.get () with
-    | Engine.Dense ->
-        (* The dense oracle ignores warm hints: it exists to pin down
-           cold behaviour, and its phase 1 always runs in full. *)
-        dense_feasible_basis ?pricing ?budget ?on_stall p
-    | Engine.Sparse -> (
-        let warm =
-          if Engine.presolve_enabled () && F.exact then presolve_hint p warm
-          else warm
-        in
-        match
-          R.feasible_basis ?pricing:(Option.map to_rpricing pricing) ?budget
-            ?on_stall ?warm p
-        with
-        | Some (s, basis) -> Some (of_rsolution s, basis)
-        | None -> None)
-
-  (* Recover the phase-2 dual values from the final reduced-cost row: in
-     phase 2 every auxiliary column has zero original cost, so
-     redcost(aux of row i) = ∓ y_i, with flipped rows negated back. *)
-  let duals_of_phase2 t cost =
-    Array.map
-      (fun info ->
-        let y =
-          match (info.surplus, info.slack, info.art) with
-          | Some col, _, _ -> cost.(col)
-          | _, Some col, _ -> F.neg cost.(col)
-          | _, _, Some col -> F.neg cost.(col)
-          | None, None, None -> assert false
-        in
-        if info.flipped then F.neg y else y)
-      t.row_info
-
-  type certified = {
-    primal : solution;
-    duals : F.t array;  (** one multiplier per constraint, in order *)
-  }
-
-  type certified_result =
-    | Certified_optimal of certified
-    | Certified_infeasible of F.t array
-    | Certified_unbounded
-
-  (* Like [solve] (minimisation only) but also returning the dual values
-     that certify optimality. *)
-  let dense_solve_certified (p : F.t Lp_problem.t) =
-    let t = build p in
-    let ok, cost1 = phase1 t in
-    if not ok then Certified_infeasible (farkas_of_phase1 t cost1)
-    else begin
-      let cost = Array.make (t.ncols + 1) F.zero in
-      List.iter (fun (v, c) -> cost.(v) <- F.add cost.(v) c) p.Lp_problem.objective;
-      drive_out_artificials t cost;
-      Array.iteri
-        (fun r b ->
-          if F.sign cost.(b) <> 0 then begin
-            let row = t.rows.(r) in
-            let f = cost.(b) in
-            for j = 0 to t.ncols do
-              cost.(j) <- F.sub cost.(j) (F.mul f row.(j))
-            done
-          end)
-        t.basis;
-      match optimize t cost ~max_col:t.art_start with
-      | `Unbounded -> Certified_unbounded
-      | `Optimal ->
-          let obj = F.neg cost.(t.ncols) in
-          Certified_optimal
-            { primal = extract t ~objective:obj; duals = duals_of_phase2 t cost }
-    end
+    let warm =
+      if Engine.presolve_enabled () && F.exact then presolve_hint p warm else warm
+    in
+    R.feasible_basis ?pricing ?budget ?on_stall ?warm p
 
   let solve_certified (p : F.t Lp_problem.t) =
-    instrumented ~what:"solve_certified" p @@ fun () ->
-    match Engine.get () with
-    | Engine.Dense -> dense_solve_certified p
-    | Engine.Sparse -> (
-        match R.solve_certified p with
-        | R.Certified_optimal c ->
-            Certified_optimal
-              { primal = of_rsolution c.R.primal; duals = c.R.duals }
-        | R.Certified_infeasible y -> Certified_infeasible y
-        | R.Certified_unbounded -> Certified_unbounded)
+    instrumented ~what:"solve_certified" p @@ fun () -> R.solve_certified p
 
   (* Independent verification of an optimality certificate for the
      minimisation problem: the primal point is feasible, the duals are
@@ -572,29 +153,9 @@ module Make (F : Field.S) = struct
     in
     dual_feasible && F.sign (F.sub cx !yb) = 0 && F.sign (F.sub cx c.primal.objective) = 0
 
-  type feasibility = Feasible of solution | Infeasible_certificate of F.t array
-
-  let dense_feasible_certified ?pricing ?budget ?on_stall p =
-    let p = { p with Lp_problem.objective = [] } in
-    let t = build p in
-    let ok, cost = phase1 ?pricing ?budget ?on_stall t in
-    if not ok then Infeasible_certificate (farkas_of_phase1 t cost)
-    else begin
-      drive_out_artificials t cost;
-      Feasible (extract t ~objective:F.zero)
-    end
-
   let feasible_certified ?pricing ?budget ?on_stall p =
     instrumented ~what:"feasible_certified" p @@ fun () ->
-    match Engine.get () with
-    | Engine.Dense -> dense_feasible_certified ?pricing ?budget ?on_stall p
-    | Engine.Sparse -> (
-        match
-          R.feasible_certified ?pricing:(Option.map to_rpricing pricing) ?budget
-            ?on_stall p
-        with
-        | R.Feasible s -> Feasible (of_rsolution s)
-        | R.Infeasible_certificate y -> Infeasible_certificate y)
+    R.feasible_certified ?pricing ?budget ?on_stall p
 
   (* Independent verification of a Farkas certificate: y respects the
      row-sense sign conditions, prices every variable column

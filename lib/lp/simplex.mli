@@ -9,12 +9,12 @@
     standard-form polyhedron): the Lenstra–Shmoys–Tardos rounding step
     depends on this to bound the fractional support.
 
-    Since the sparse revised engine landed, this module is the single
-    dispatch point for both LP engines: every public solver entry
-    consults {!Engine} and runs either the dense tableau below (the
-    differential oracle) or {!Revised} (the default).  With
-    {!Field.Exact} the engines follow identical pivot trajectories, so
-    budgets, stalls and certificates behave the same either way. *)
+    Every entry runs the sparse revised engine ({!Revised}), the one
+    production LP engine, inside a [simplex.solve] span that also feeds
+    the solve and pivots-per-solve metrics.  The result types are
+    {!Revised.Make}'s, re-exported by type equality.  The dense
+    {!Tableau} follows the same pivot rules and serves only as the
+    tests' and benches' reference. *)
 
 type budget = Pivot_budget.t = {
   mutable pivots_left : int;
@@ -39,15 +39,15 @@ exception Stall
     threshold. *)
 
 module Make (F : Field.S) : sig
-  type solution = {
+  type solution = Revised.Make(F).solution = {
     x : F.t array;  (** values of the original decision variables *)
     objective : F.t;  (** objective value at [x] *)
     basic : bool array;  (** [basic.(v)] iff variable [v] is basic *)
   }
 
-  type result = Optimal of solution | Infeasible | Unbounded
+  type result = Revised.Make(F).result = Optimal of solution | Infeasible | Unbounded
 
-  type pricing =
+  type pricing = Revised.Make(F).pricing =
     | Bland  (** smallest eligible index — anti-cycling, more pivots *)
     | Dantzig
         (** most negative reduced cost — the default; falls back to
@@ -82,17 +82,17 @@ module Make (F : Field.S) : sig
     F.t Lp_problem.t ->
     (solution * Basis.t) option
   (** Like {!feasible}, additionally returning the optimal basis as a
-      structural {!Basis.t} descriptor.  Under the sparse engine a later
-      solve on a similar problem can pass the descriptor back as
-      [?warm]: the proposal is re-factorised and re-verified in the
-      solver's field — accepted hints skip phase 1 entirely, stale or
-      corrupted ones are repaired or rejected (never trusted), so the
-      verdict and solution are unaffected by hint quality.  With
+      structural {!Basis.t} descriptor.  A later solve on a similar
+      problem can pass the descriptor back as [?warm]: the proposal is
+      re-factorised and re-verified in the solver's field — accepted
+      hints skip phase 1 entirely, stale or corrupted ones are repaired
+      or rejected (never trusted), so the verdict and solution are
+      unaffected by hint quality.  With
       [--lp-presolve] (see {!Engine.set_presolve}) an exact-field solve
       first runs a float revised solve and uses {e its} basis as the
-      hint.  The dense oracle ignores [?warm] and always solves cold. *)
+      hint. *)
 
-  type feasibility =
+  type feasibility = Revised.Make(F).feasibility =
     | Feasible of solution
     | Infeasible_certificate of F.t array
         (** A Farkas witness [y], one entry per constraint in declaration
@@ -122,12 +122,12 @@ module Make (F : Field.S) : sig
       multipliers are dual-feasible, and strong duality [cᵀx = bᵀy]
       pins the value. *)
 
-  type certified = {
+  type certified = Revised.Make(F).certified = {
     primal : solution;
     duals : F.t array;  (** one multiplier per constraint, in order *)
   }
 
-  type certified_result =
+  type certified_result = Revised.Make(F).certified_result =
     | Certified_optimal of certified
     | Certified_infeasible of F.t array  (** Farkas witness, as above *)
     | Certified_unbounded

@@ -1,6 +1,8 @@
-(* Differential suite for the sparse revised simplex (lib/lp/revised.ml)
-   against the dense tableau oracle, plus warm-start soundness, the
-   degenerate/budget pins, and the Hs_check vertex invariant.
+(* Differential suite for the production LP entry point (Simplex, which
+   runs the sparse revised engine of lib/lp/revised.ml) against the dense
+   reference tableau (lib/lp/tableau.ml), plus warm-start soundness, the
+   degenerate/budget pins, the online cold-vs-warm replay, and the
+   Hs_check vertex invariant.
 
    The revised engine deliberately mirrors the dense pivot rules, so
    with exact arithmetic the two must agree not just on feasibility and
@@ -11,7 +13,7 @@ open Hs_lp
 module Q = Hs_numeric.Q
 module SQ = Simplex.Make (Field.Exact)
 module RQ = Revised.Make (Field.Exact)
-module E = Engine
+module DQ = Tableau.Make (Field.Exact)
 module Ilp = Hs_core.Ilp.Make (Field.Exact)
 module Oracle = Hs_workloads.Oracle
 module Shrink = Hs_workloads.Shrink
@@ -30,12 +32,13 @@ let result_tag = function
   | SQ.Infeasible -> "infeasible"
   | SQ.Unbounded -> "unbounded"
 
-(* Run the dispatching entry point under both engines and require the
-   full mirror: same result constructor, same exact objective, same
-   vertex, and both solutions basic feasible per Hs_check.Check.lp_vertex. *)
+(* Solve with the reference tableau and the production entry point and
+   require the full mirror: same result constructor, same exact
+   objective, same vertex, and both solutions basic feasible per
+   Hs_check.Check.lp_vertex. *)
 let differential ?(maximize = false) label p =
-  let d = E.with_engine E.Dense (fun () -> SQ.solve ~maximize p) in
-  let s = E.with_engine E.Sparse (fun () -> SQ.solve ~maximize p) in
+  let d = DQ.solve ~maximize p in
+  let s = SQ.solve ~maximize p in
   Alcotest.(check string)
     (label ^ ": result kind")
     (result_tag d) (result_tag s);
@@ -289,17 +292,16 @@ let fully_degenerate =
       c [ (0, q 1); (1, q 1); (2, q 1) ] Eq (q 0);
     ]
 
-let solve_metered engine p =
-  E.with_engine engine (fun () ->
-      Hs_obs.Metrics.reset ();
-      let r = SQ.solve p in
-      (r, counter "simplex.pivots", counter "simplex.degenerate_pivots"))
+let solve_metered solve =
+  Hs_obs.Metrics.reset ();
+  let r = solve () in
+  (r, counter "simplex.pivots", counter "simplex.degenerate_pivots")
 
 let test_degenerate_pins () =
   List.iter
     (fun (label, p, expected) ->
-      let rd, pd, dd = solve_metered E.Dense p in
-      let rs, ps, ds = solve_metered E.Sparse p in
+      let rd, pd, dd = solve_metered (fun () -> DQ.solve p) in
+      let rs, ps, ds = solve_metered (fun () -> SQ.solve p) in
       (match (rd, rs) with
       | SQ.Optimal a, SQ.Optimal b ->
           Alcotest.(check string) (label ^ ": dense objective") expected
@@ -317,39 +319,38 @@ let test_degenerate_pins () =
 let test_bland_fallback_agrees () =
   (* Forcing Bland from the start must still reach the same optimum as
      the Dantzig-with-fallback default, under both engines. *)
-  List.iter
-    (fun engine ->
-      E.with_engine engine (fun () ->
-          match (SQ.solve ~pricing:SQ.Bland beale, SQ.solve beale) with
-          | SQ.Optimal a, SQ.Optimal b ->
-              Alcotest.(check string)
-                (E.to_string engine ^ ": Bland = Dantzig objective")
-                (Q.to_string b.objective) (Q.to_string a.objective)
-          | _ -> Alcotest.fail "expected optimal"))
-    [ E.Dense; E.Sparse ]
+  let agrees engine bland dantzig =
+    match (bland, dantzig) with
+    | SQ.Optimal a, SQ.Optimal b ->
+        Alcotest.(check string)
+          (engine ^ ": Bland = Dantzig objective")
+          (Q.to_string b.objective) (Q.to_string a.objective)
+    | _ -> Alcotest.fail "expected optimal"
+  in
+  agrees "dense" (DQ.solve ~pricing:SQ.Bland beale) (DQ.solve beale);
+  agrees "sparse" (SQ.solve ~pricing:SQ.Bland beale) (SQ.solve beale)
 
 let test_pivot_limit_parity () =
   (* Both engines must consume pivots identically: the same total on an
      unmetered run, and Pivot_limit at the same point when metered. *)
   let p = seeded_lp 42 in
-  let consumed engine =
-    E.with_engine engine (fun () ->
-        let b = Simplex.budget 100_000 in
-        ignore (SQ.solve ~budget:b p);
-        Simplex.consumed b)
+  let dense budget = DQ.solve ~budget p and sparse budget = SQ.solve ~budget p in
+  let consumed solve =
+    let b = Simplex.budget 100_000 in
+    ignore (solve b);
+    Simplex.consumed b
   in
-  let full = consumed E.Dense in
-  Alcotest.(check int) "unmetered consumption identical" full (consumed E.Sparse);
+  let full = consumed dense in
+  Alcotest.(check int) "unmetered consumption identical" full (consumed sparse);
   Alcotest.(check bool) "fixture pivots at least once" true (full > 0);
-  let limited engine k =
-    E.with_engine engine (fun () ->
-        let b = Simplex.budget k in
-        match SQ.solve ~budget:b p with
-        | exception Simplex.Pivot_limit -> (true, Simplex.consumed b)
-        | _ -> (false, Simplex.consumed b))
+  let limited solve k =
+    let b = Simplex.budget k in
+    match solve b with
+    | exception Simplex.Pivot_limit -> (true, Simplex.consumed b)
+    | _ -> (false, Simplex.consumed b)
   in
   for k = 1 to Stdlib.min 6 (full - 1) do
-    let rd = limited E.Dense k and rs = limited E.Sparse k in
+    let rd = limited dense k and rs = limited sparse k in
     Alcotest.(check (pair bool int))
       (Printf.sprintf "budget %d: same exhaustion point" k)
       rd rs;
@@ -358,12 +359,44 @@ let test_pivot_limit_parity () =
       true (fst rd)
   done
 
+(* ---- online replay: warm starts change pivot counts, never schedules -- *)
+
+(* One seeded growth trace (the bench's family, shortened) replayed cold
+   and warm-started: the rendered event tables must be identical, the
+   cold replay must never consult the basis store, and the warm one must
+   hit it and spend strictly fewer pivots. *)
+let test_online_warm_below_cold () =
+  let module Replay = Hs_online.Replay in
+  let tr =
+    Hs_workloads.Generators.trace ~seed:1301
+      ~lam:(Hs_laminar.Topology.smp_cmp ~nodes:2 ~chips_per_node:2 ~cores_per_chip:2)
+      ~events:16 ~base:(1, 9) ~heterogeneity:1.3 ~overhead:0.2 ~departures:0.0
+      ~max_live:12 ()
+  in
+  let replay run =
+    Hs_obs.Metrics.reset ();
+    match run tr with
+    | Error e -> Alcotest.failf "growth replay failed: %s" e
+    | Ok (o : Replay.outcome) ->
+        let buf = Buffer.create 1024 in
+        Replay.render_table buf o.steps;
+        (Buffer.contents buf, counter "simplex.pivots", counter "lp.warm_start.hits")
+  in
+  let cold_table, cold_pivots, cold_hits = replay (Replay.run ~warm_start:false) in
+  let warm_table, warm_pivots, warm_hits = replay (fun tr -> Replay.run tr) in
+  Alcotest.(check string) "event tables identical" cold_table warm_table;
+  Alcotest.(check int) "cold replay never hits the store" 0 cold_hits;
+  Alcotest.(check bool) "warm replay records hits" true (warm_hits > 0);
+  if warm_pivots >= cold_pivots then
+    Alcotest.failf "warm replay used %d pivots, cold %d: warm must be strictly below"
+      warm_pivots cold_pivots
+
 (* ---- the Hs_check vertex invariant blames corruption ------------------ *)
 
 let test_lp_vertex_blames () =
   let p = List.nth fixtures 0 |> fun (_, _, p) -> p in
   let s =
-    match E.with_engine E.Sparse (fun () -> SQ.solve ~maximize:true p) with
+    match SQ.solve ~maximize:true p with
     | SQ.Optimal s -> s
     | _ -> Alcotest.fail "expected optimal"
   in
@@ -430,5 +463,6 @@ let suite =
       u "degenerate pins (pivot parity)" test_degenerate_pins;
       u "Bland fallback agrees" test_bland_fallback_agrees;
       u "Pivot_limit parity" test_pivot_limit_parity;
+      u "online replay: warm < cold pivots, same table" test_online_warm_below_cold;
       u "lp_vertex blames corruption" test_lp_vertex_blames;
     ] )
