@@ -10,7 +10,10 @@
       substrate).
 
    `dune exec bench/main.exe -- quick` shrinks the sweeps.
-   `dune exec bench/main.exe -- experiments` / `-- timings` run one half. *)
+   `dune exec bench/main.exe -- experiments` / `-- timings` run one half;
+   `-- service`, `-- online` and `-- lp` run the dedicated benches that
+   write BENCH_service.json, BENCH_online.json and BENCH_lp.json.  Any
+   other word prints the mode list and exits 2. *)
 
 open Bechamel
 open Hs_model
@@ -148,77 +151,6 @@ let run_timings () =
       Printf.printf "%-32s %10.2f %s/run\n" name value unit_)
     rows;
   write_report rows
-
-(* ---------------- Parallel sweep: determinism + speedup --------------- *)
-
-(* Run T1 (the heaviest sweep: LP pipeline + proven branch and bound per
-   trial) at several job counts, byte-compare the captured tables and
-   merged metric snapshots against the sequential run, and record the
-   speedup curve in BENCH_parallel.json.  Exits non-zero if any parallel
-   run diverges from the sequential one — this is the acceptance check
-   for the Hs_exec determinism contract (DESIGN.md section 10). *)
-let run_parallel ~quick () =
-  print_endline "\n== Parallel T1 sweep: determinism + speedup (Hs_exec) ==";
-  let run jobs =
-    let buf = Buffer.create 8192 in
-    Hs_experiments.Table.redirect (Some buf);
-    Hs_obs.Metrics.reset ();
-    let t0 = Unix.gettimeofday () in
-    Hs_experiments.Experiments.t1 ~quick ~jobs ();
-    let dt = Unix.gettimeofday () -. t0 in
-    Hs_experiments.Table.redirect None;
-    let metrics =
-      Hs_obs.Json.to_string (Hs_obs.Metrics.to_json (Hs_obs.Metrics.snapshot ()))
-    in
-    (Buffer.contents buf, metrics, dt)
-  in
-  let results = List.map (fun j -> (j, run j)) [ 1; 2; 4; 8 ] in
-  let _, (ref_table, ref_metrics, t_seq) = List.hd results in
-  print_string ref_table;
-  Printf.printf "%-6s %10s %9s %10s %10s\n" "jobs" "wall (s)" "speedup" "tables" "metrics";
-  let rows =
-    List.map
-      (fun (j, (tbl, met, dt)) ->
-        let tables_ok = String.equal tbl ref_table in
-        let metrics_ok = String.equal met ref_metrics in
-        Printf.printf "%-6d %10.3f %9.2f %10s %10s\n" j dt
-          (t_seq /. Float.max 1e-9 dt)
-          (if tables_ok then "identical" else "DIFFER")
-          (if metrics_ok then "identical" else "DIFFER");
-        (j, dt, tables_ok, metrics_ok))
-      results
-  in
-  let doc =
-    Hs_obs.Json.Obj
-      [
-        ("schema", Hs_obs.Json.String "hsched.bench.parallel/1");
-        ("experiment", Hs_obs.Json.String "t1");
-        ("quick", Hs_obs.Json.Bool quick);
-        ("recommended_domains", Hs_obs.Json.Int (Hs_exec.recommended_jobs ()));
-        ( "runs",
-          Hs_obs.Json.List
-            (List.map
-               (fun (j, dt, tables_ok, metrics_ok) ->
-                 Hs_obs.Json.Obj
-                   [
-                     ("jobs", Hs_obs.Json.Int j);
-                     ("wall_s", Hs_obs.Json.Float dt);
-                     ("speedup", Hs_obs.Json.Float (t_seq /. Float.max 1e-9 dt));
-                     ("tables_identical", Hs_obs.Json.Bool tables_ok);
-                     ("metrics_identical", Hs_obs.Json.Bool metrics_ok);
-                   ])
-               rows) );
-      ]
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc (Hs_obs.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  print_endline "wrote BENCH_parallel.json";
-  if not (List.for_all (fun (_, _, t, m) -> t && m) rows) then begin
-    prerr_endline "parallel determinism check FAILED: output diverged from jobs=1";
-    exit 1
-  end
 
 (* ---------------- Service throughput bench ----------------------------- *)
 
@@ -872,40 +804,39 @@ let run_lp ~quick () =
     exit 1
   end
 
+let modes =
+  [ ("experiments", `Experiments); ("timings", `Timings); ("service", `Service);
+    ("online", `Online); ("lp", `Lp) ]
+
+let usage () =
+  Printf.eprintf "usage: bench/main.exe [%s] [quick] [--jobs N]\n\
+                  with no mode, runs experiments then timings\n"
+    (String.concat "|" (List.map fst modes));
+  exit 2
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "quick" args in
-  let jobs =
-    let rec find = function
-      | "--jobs" :: v :: _ -> (
-          match int_of_string_opt v with
-          | Some j -> Hs_exec.resolve_jobs j
-          | None -> failwith "bench: --jobs expects an integer")
-      | _ :: rest -> find rest
-      | [] -> 1
-    in
-    find args
+  let rec parse mode quick jobs = function
+    | [] -> (mode, quick, jobs)
+    | "quick" :: rest -> parse mode true jobs rest
+    | "--jobs" :: v :: rest -> (
+        match int_of_string_opt v with
+        | Some j -> parse mode quick (Hs_exec.resolve_jobs j) rest
+        | None -> usage ())
+    | w :: rest when mode = None && List.mem_assoc w modes ->
+        parse (Some (List.assoc w modes)) quick jobs rest
+    | _ -> usage ()
   in
-  let which =
-    if List.mem "experiments" args then `Experiments
-    else if List.mem "timings" args then `Timings
-    else if List.mem "parallel" args then `Parallel
-    else if List.mem "service" args then `Service
-    else if List.mem "online" args then `Online
-    else if List.mem "lp" args then `Lp
-    else `Both
+  let mode, quick, jobs = parse None false 1 (List.tl (Array.to_list Sys.argv)) in
+  let experiments () =
+    print_endline "== Evaluation suite (DESIGN.md section 4; see EXPERIMENTS.md) ==";
+    Hs_experiments.Experiments.all ~quick ~jobs ()
   in
-  (match which with
-  | `Experiments | `Both ->
-      print_endline "== Evaluation suite (DESIGN.md section 4; see EXPERIMENTS.md) ==";
-      Hs_experiments.Experiments.all ~quick ~jobs ()
-  | `Timings | `Parallel | `Service | `Online | `Lp -> ());
-  (match which with
-  | `Parallel -> run_parallel ~quick ()
-  | `Service -> run_service ~quick ~jobs ()
-  | `Online -> run_online ~quick ~jobs ()
-  | `Lp -> run_lp ~quick ()
-  | _ -> ());
-  match which with
-  | `Timings | `Both -> run_timings ()
-  | `Experiments | `Parallel | `Service | `Online | `Lp -> ()
+  match mode with
+  | None ->
+      experiments ();
+      run_timings ()
+  | Some `Experiments -> experiments ()
+  | Some `Timings -> run_timings ()
+  | Some `Service -> run_service ~quick ~jobs ()
+  | Some `Online -> run_online ~quick ~jobs ()
+  | Some `Lp -> run_lp ~quick ()

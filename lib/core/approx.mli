@@ -80,16 +80,15 @@ val solve_general : General_instance.t -> (general_outcome, string) result
 
     {!solve_robust} runs the solvers behind deterministic resource
     budgets with graceful degradation: exact branch and bound (when a
-    node budget is configured) → LP + LST rounding under Dantzig pricing
-    → the same under Bland's rule after a pricing stall.  Every returned
-    schedule has been re-certified by {!Hs_model.Schedule.validate} and
-    is tagged with the provenance of the path that produced it. *)
+    node budget is configured) → LP + LST rounding.  LP degeneracy is
+    handled inside the engine, which switches from Dantzig pricing to
+    Bland's rule in place.  Every returned schedule has been
+    re-certified by {!Hs_model.Schedule.validate} and is tagged with the
+    provenance of the path that produced it. *)
 
 type provenance =
   | Exact_optimal  (** proven optimum from branch and bound *)
-  | Lp_approx of { pricing : [ `Dantzig | `Bland ]; restarted : bool }
-      (** the 2-approximation ([makespan ≤ 2·T*]); [restarted] after a
-          fallback *)
+  | Lp_approx  (** the 2-approximation ([makespan ≤ 2·T*]) *)
 
 val provenance_to_string : provenance -> string
 
@@ -103,7 +102,8 @@ type robust_outcome = {
   r_schedule : Schedule.t;
   r_provenance : provenance;
   r_fallbacks : Hs_error.t list;
-      (** degradations taken before the successful path, oldest first *)
+      (** the degradation taken before the successful path: empty, or
+          the branch-and-bound exhaustion that sent it to the LP path *)
   r_consumed : Budget.t;
       (** resources actually spent by the metered stages: [Some] only for
           the dimensions the caller budgeted (branch-and-bound nodes are
@@ -117,9 +117,9 @@ val solve_robust :
   Instance.t ->
   (robust_outcome, Hs_error.t) result
 (** Solve under a resource budget.  With [`Fallback] (the default) a
-    budget exhaustion degrades to the next path in the chain; with
-    [`Fail] it surfaces as [Error (Budget_exhausted _)].  A Dantzig
-    pricing stall always restarts under Bland's rule.  [inject] is the
-    fault-injection hook of the test harness: the first time the
-    pipeline enters that stage it behaves exactly as if its budget ran
-    out there. *)
+    branch-and-bound budget exhaustion degrades to the LP path; with
+    [`Fail] it surfaces as [Error (Budget_exhausted _)].  An exhaustion
+    on the LP path always surfaces: it is the last path, and its pivot
+    and probe meters are not refilled.  [inject] is the fault-injection
+    hook of the test harness: the first time the pipeline enters that
+    stage it behaves exactly as if its budget ran out there. *)

@@ -154,14 +154,13 @@ module Make (F : Hs_lp.Field.S) = struct
       keys
 
   (** Budget-aware LP feasibility of (IP-3) at horizon [tmax].  Raises
-      {!Hs_error.Error} on pivot-budget exhaustion or (under
-      [~on_stall:`Fail]) on a Dantzig pricing stall; [trip] is the
+      {!Hs_error.Error} on pivot-budget exhaustion; [trip] is the
       fault-injection hook, called on entry with {!Hs_error.Lp}.  With
       [?warm] the solve is attempted from the store's saved basis and the
       store is updated with the optimal basis of every feasible solve;
       without it the cold path is untouched. *)
-  let lp_feasible_x ?pricing ?pivots ?(on_stall = `Bland) ?warm
-      ?(trip = fun (_ : Hs_error.stage) -> ()) inst ~tmax : frac option =
+  let lp_feasible_x ?pivots ?warm ?(trip = fun (_ : Hs_error.stage) -> ()) inst ~tmax :
+      frac option =
     trip Hs_error.Lp;
     Hs_obs.Metrics.incr Obs.lp_solves;
     Hs_obs.Tracer.with_span ~cat:"lp" ~args:[ ("T", Hs_obs.Tracer.Int tmax) ] "lp.feasible"
@@ -173,7 +172,7 @@ module Make (F : Hs_lp.Field.S) = struct
           try
             match warm with
             | None when not (Hs_lp.Engine.presolve_enabled ()) ->
-                Solver.feasible ?pricing ?budget:pivots ~on_stall lp
+                Solver.feasible ?budget:pivots lp
             | _ ->
                 (* Warm store and/or float pre-solve: go through the
                    basis-returning entry (same pivot charges as the cold
@@ -183,10 +182,7 @@ module Make (F : Hs_lp.Field.S) = struct
                   | None -> []
                   | Some store -> basis_of_keys inst var_of store.saved
                 in
-                (match
-                   Solver.feasible_basis ?pricing ?budget:pivots ~on_stall
-                     ~warm:hint lp
-                 with
+                (match Solver.feasible_basis ?budget:pivots ~warm:hint lp with
                 | Some (sol, basis) ->
                     (match warm with
                     | Some store -> store.saved <- keys_of_basis inst var_of basis
@@ -207,7 +203,6 @@ module Make (F : Hs_lp.Field.S) = struct
                                (Hs_lp.Simplex.consumed b) b.Hs_lp.Simplex.total
                          | None -> "");
                    })
-          | Hs_lp.Simplex.Stall -> Hs_error.raise_ (Lp_stall { pricing = "dantzig" })
         in
         match sol with
         | None -> None
@@ -253,9 +248,9 @@ module Make (F : Hs_lp.Field.S) = struct
 
   (** Budget-aware binary search for the minimal LP-feasible horizon.
       Each probe charges one search iteration (raising on exhaustion) and
-      fires the [trip] hook with {!Hs_error.Search}; the pivot budget and
-      stall policy are threaded into every probe's LP solve. *)
-  let min_feasible_t_x ?pricing ?pivots ?on_stall ?warm ?iters
+      fires the [trip] hook with {!Hs_error.Search}; the pivot budget is
+      threaded into every probe's LP solve. *)
+  let min_feasible_t_x ?pivots ?warm ?iters
       ?(trip = fun (_ : Hs_error.stage) -> ()) inst : (int * frac) option =
     let charge_iter () =
       match iters with
@@ -287,7 +282,7 @@ module Make (F : Hs_lp.Field.S) = struct
                 ~args:[ ("T", Hs_obs.Tracer.Int mid) ]
                 "search.probe"
                 (fun () ->
-                  let r = lp_feasible_x ?pricing ?pivots ?on_stall ?warm ~trip inst ~tmax:mid in
+                  let r = lp_feasible_x ?pivots ?warm ~trip inst ~tmax:mid in
                   Hs_obs.Tracer.add_args
                     [ ("feasible", Hs_obs.Tracer.Bool (Option.is_some r)) ];
                   r)

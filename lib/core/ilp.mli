@@ -42,21 +42,18 @@ module Make (F : Hs_lp.Field.S) : sig
   (** Number of basis entries currently remembered (diagnostics). *)
 
   val lp_feasible_x :
-    ?pricing:Solver.pricing ->
     ?pivots:Hs_lp.Simplex.budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?warm:warm_store ->
     ?trip:(Hs_error.stage -> unit) ->
     Instance.t ->
     tmax:int ->
     frac option
   (** Budget-aware {!lp_feasible}: raises {!Hs_error.Error} with
-      [Budget_exhausted] when the shared pivot allowance runs out, or
-      [Lp_stall] under [~on_stall:`Fail].  [trip] is the fault-injection
-      hook, fired on entry with {!Hs_error.Lp}.  [warm] warm-starts the
-      solve from the store and saves the resulting basis back into it;
-      omitted, the solve is cold (the historical behaviour, and
-      byte-identical to it). *)
+      [Budget_exhausted] when the shared pivot allowance runs out.
+      [trip] is the fault-injection hook, fired on entry with
+      {!Hs_error.Lp}.  [warm] warm-starts the solve from the store and
+      saves the resulting basis back into it; omitted, the solve is cold
+      (the historical behaviour, and byte-identical to it). *)
 
   val t_bounds : Instance.t -> (int * int) option
   (** Certified search bounds for the minimal feasible horizon
@@ -69,9 +66,7 @@ module Make (F : Hs_lp.Field.S) : sig
       with a basic solution at that horizon. *)
 
   val min_feasible_t_x :
-    ?pricing:Solver.pricing ->
     ?pivots:Hs_lp.Simplex.budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?warm:warm_store ->
     ?iters:Budget.counted ->
     ?trip:(Hs_error.stage -> unit) ->
@@ -81,7 +76,7 @@ module Make (F : Hs_lp.Field.S) : sig
       from [iters] and fires [trip] with {!Hs_error.Search} before
       delegating to {!lp_feasible_x} with the shared pivot budget (and
       [warm] store, so successive probes of the search warm-start from
-      each other).  Raises {!Hs_error.Error} on exhaustion or stall. *)
+      each other).  Raises {!Hs_error.Error} on exhaustion. *)
 
   val certified_infeasible : Instance.t -> tmax:int -> bool
   (** [true] iff the relaxation at [tmax] is infeasible {e and} the

@@ -48,10 +48,8 @@ type outcome = {
           positive count flags that the structural guarantee failed) *)
 }
 
-let solve_checked ?pivots ?(fail_on_stall = false) (p : problem) (policy : policy) :
-    (outcome, Hs_error.t) result =
+let solve_checked ?pivots (p : problem) (policy : policy) : (outcome, Hs_error.t) result =
   let err fmt = Printf.ksprintf (fun s -> Error (Hs_error.Internal s)) fmt in
-  let on_stall = if fail_on_stall then `Fail else `Bland in
   let nrows = Array.length p.bounds in
   if Array.exists (fun b -> Q.sign b <= 0) p.bounds then
     Error (Hs_error.Invalid_instance "iterative_rounding: bounds must be positive")
@@ -121,16 +119,14 @@ let solve_checked ?pivots ?(fail_on_stall = false) (p : problem) (policy : polic
                 (List.init nrows (fun l -> l))
             in
             let sol =
-              try Solver.feasible ?budget:pivots ~on_stall (LP.make ~nvars:nv (assign_cs @ pack_cs))
-              with
-              | Hs_lp.Simplex.Pivot_limit ->
-                  Hs_error.raise_
-                    (Budget_exhausted
-                       {
-                         stage = Rounding;
-                         detail = "simplex pivot budget ran out in a residual LP";
-                       })
-              | Hs_lp.Simplex.Stall -> Hs_error.raise_ (Lp_stall { pricing = "dantzig" })
+              try Solver.feasible ?budget:pivots (LP.make ~nvars:nv (assign_cs @ pack_cs))
+              with Hs_lp.Simplex.Pivot_limit ->
+                Hs_error.raise_
+                  (Budget_exhausted
+                     {
+                       stage = Rounding;
+                       detail = "simplex pivot budget ran out in a residual LP";
+                     })
             in
             match sol with
             | None -> raise (Fail "iterative_rounding: residual LP infeasible")

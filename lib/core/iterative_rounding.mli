@@ -39,17 +39,12 @@ type outcome = {
 }
 
 val solve_checked :
-  ?pivots:Hs_lp.Simplex.budget ->
-  ?fail_on_stall:bool ->
-  problem ->
-  policy ->
-  (outcome, Hs_error.t) result
+  ?pivots:Hs_lp.Simplex.budget -> problem -> policy -> (outcome, Hs_error.t) result
 (** Typed entry point.  [pivots] meters every residual LP re-solve
     against a shared pivot allowance (exhaustion yields
-    [Budget_exhausted {stage = Rounding; _}]); [fail_on_stall] turns a
-    Dantzig degeneracy stall into [Lp_stall] instead of the silent
-    Bland fallback.  Fails when the initial LP is infeasible, a job runs
-    out of options, or a bound is non-positive. *)
+    [Budget_exhausted {stage = Rounding; _}]).  Fails when the initial
+    LP is infeasible, a job runs out of options, or a bound is
+    non-positive. *)
 
 val solve :
   ?pivots:Hs_lp.Simplex.budget -> problem -> policy -> (outcome, string) result

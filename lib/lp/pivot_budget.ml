@@ -6,7 +6,6 @@ let budget n = { pivots_left = n; total = n }
 let consumed b = b.total - b.pivots_left
 
 exception Pivot_limit
-exception Stall
 
 (* Telemetry (Hs_obs): metric cells are registered once here, outside
    every functor, so the exact and float instantiations of both engines

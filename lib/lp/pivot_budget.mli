@@ -11,10 +11,6 @@ val consumed : t -> int
 exception Pivot_limit
 (** Raised mid-solve when the supplied budget runs out. *)
 
-exception Stall
-(** Raised under [~on_stall:`Fail] when Dantzig pricing exceeds the
-    degenerate-pivot threshold. *)
-
 (** Shared metric cells (counters registered once per process). *)
 module Obs : sig
   val pivots : Hs_obs.Metrics.counter

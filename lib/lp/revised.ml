@@ -309,10 +309,10 @@ module Make (F : Field.S) = struct
 
   (* The optimisation loop, with the dense engine's degeneracy policy:
      count consecutive zero-progress pivots under Dantzig pricing and
-     fall back to Bland's rule permanently past the threshold ([`Bland])
-     or raise {!Pivot_budget.Stall} ([`Fail]).  The budget is charged at
-     the same point in the iteration as the dense engine charges. *)
-  let optimize ?(pricing = Dantzig) ?budget ?(on_stall = `Bland) core cost ~max_col =
+     switch to Bland's rule in place, permanently, past the threshold.
+     The budget is charged at the same point in the iteration as the
+     dense engine charges. *)
+  let optimize ?(pricing = Dantzig) ?budget core cost ~max_col =
     let degenerate_limit = (2 * core.ncols) + 16 in
     let rec go pricing degenerate =
       let y = btran_costs core cost in
@@ -330,10 +330,7 @@ module Make (F : Field.S) = struct
               pivot core ~row ~col d;
               if pricing = Bland then go Bland 0
               else if zero_progress then
-                if degenerate + 1 > degenerate_limit then
-                  match on_stall with
-                  | `Bland -> go Bland 0
-                  | `Fail -> raise Pivot_budget.Stall
+                if degenerate + 1 > degenerate_limit then go Bland 0
                 else go pricing (degenerate + 1)
               else go pricing 0)
     in
@@ -342,12 +339,12 @@ module Make (F : Field.S) = struct
   (* Phase 1: minimise the sum of artificial variables.  Returns the
      feasibility verdict and the simplex multipliers at the optimum (the
      Farkas witness when infeasible). *)
-  let phase1 ?pricing ?budget ?on_stall core =
+  let phase1 ?pricing ?budget core =
     let cost = Array.make (Stdlib.max 1 core.ncols) F.zero in
     for j = core.art_start to core.ncols - 1 do
       cost.(j) <- F.one
     done;
-    match optimize ?pricing ?budget ?on_stall core cost ~max_col:core.ncols with
+    match optimize ?pricing ?budget core cost ~max_col:core.ncols with
     | `Unbounded ->
         (* The phase-1 objective is bounded below by zero. *)
         assert false
@@ -561,10 +558,10 @@ module Make (F : Field.S) = struct
   (* Feasibility via the warm proposal when it is an outright witness,
      else phase 1 — run from the warm basis when it was at least a
      valid start, from the cold all-artificial basis otherwise. *)
-  let warm_or_phase1 ?pricing ?budget ?on_stall core warm =
+  let warm_or_phase1 ?pricing ?budget core warm =
     match try_warm core warm with
     | Warm_witness -> true
-    | Warm_start | Warm_cold -> fst (phase1 ?pricing ?budget ?on_stall core)
+    | Warm_start | Warm_cold -> fst (phase1 ?pricing ?budget core)
 
   (* ---- public entry points ----------------------------------------- *)
 
@@ -573,7 +570,7 @@ module Make (F : Field.S) = struct
     List.iter (fun (v, c) -> cost.(v) <- F.add cost.(v) c) objective;
     cost
 
-  let solve ?pricing ?budget ?on_stall ?(maximize = false) ?warm
+  let solve ?pricing ?budget ?(maximize = false) ?warm
       (p : F.t Lp_problem.t) =
     let p =
       if maximize then
@@ -585,11 +582,11 @@ module Make (F : Field.S) = struct
       else p
     in
     let core = build p in
-    if not (warm_or_phase1 ?pricing ?budget ?on_stall core warm) then Infeasible
+    if not (warm_or_phase1 ?pricing ?budget core warm) then Infeasible
     else begin
       let cost = costs_of core p.Lp_problem.objective in
       drive_out core;
-      match optimize ?pricing ?budget ?on_stall core cost ~max_col:core.art_start with
+      match optimize ?pricing ?budget core cost ~max_col:core.art_start with
       | `Unbounded -> Unbounded
       | `Optimal ->
           let obj = objective_value core cost in
@@ -597,22 +594,22 @@ module Make (F : Field.S) = struct
           Optimal (extract core ~objective:obj)
     end
 
-  let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
+  let feasible_basis ?pricing ?budget ?warm (p : F.t Lp_problem.t) =
     let p = { p with Lp_problem.objective = [] } in
     let core = build p in
-    if not (warm_or_phase1 ?pricing ?budget ?on_stall core warm) then None
+    if not (warm_or_phase1 ?pricing ?budget core warm) then None
     else begin
       drive_out core;
       Some (extract core ~objective:F.zero, describe core)
     end
 
-  let feasible ?pricing ?budget ?on_stall ?warm p =
-    Option.map fst (feasible_basis ?pricing ?budget ?on_stall ?warm p)
+  let feasible ?pricing ?budget ?warm p =
+    Option.map fst (feasible_basis ?pricing ?budget ?warm p)
 
-  let feasible_certified ?pricing ?budget ?on_stall (p : F.t Lp_problem.t) =
+  let feasible_certified ?pricing ?budget (p : F.t Lp_problem.t) =
     let p = { p with Lp_problem.objective = [] } in
     let core = build p in
-    let ok, y = phase1 ?pricing ?budget ?on_stall core in
+    let ok, y = phase1 ?pricing ?budget core in
     if not ok then Infeasible_certificate (row_duals core y)
     else begin
       drive_out core;

@@ -31,20 +31,18 @@ module Make (F : Field.S) : sig
   val solve :
     ?pricing:pricing ->
     ?budget:Pivot_budget.t ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?maximize:bool ->
     ?warm:Basis.t ->
     F.t Lp_problem.t ->
     result
   (** Two-phase revised simplex (minimising by default).  An accepted
       [?warm] basis skips phase 1; a rejected one falls back to a cold
-      start.  May raise {!Pivot_budget.Pivot_limit} or
-      {!Pivot_budget.Stall} exactly as {!Tableau} does. *)
+      start.  May raise {!Pivot_budget.Pivot_limit} exactly as
+      {!Tableau} does. *)
 
   val feasible :
     ?pricing:pricing ->
     ?budget:Pivot_budget.t ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?warm:Basis.t ->
     F.t Lp_problem.t ->
     solution option
@@ -52,7 +50,6 @@ module Make (F : Field.S) : sig
   val feasible_basis :
     ?pricing:pricing ->
     ?budget:Pivot_budget.t ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?warm:Basis.t ->
     F.t Lp_problem.t ->
     (solution * Basis.t) option
@@ -62,7 +59,6 @@ module Make (F : Field.S) : sig
   val feasible_certified :
     ?pricing:pricing ->
     ?budget:Pivot_budget.t ->
-    ?on_stall:[ `Bland | `Fail ] ->
     F.t Lp_problem.t ->
     feasibility
   (** Feasibility with a Farkas infeasibility certificate (recovered

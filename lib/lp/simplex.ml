@@ -10,7 +10,6 @@ let budget = Pivot_budget.budget
 let consumed = Pivot_budget.consumed
 
 exception Pivot_limit = Pivot_budget.Pivot_limit
-exception Stall = Pivot_budget.Stall
 
 module Obs = Pivot_budget.Obs
 
@@ -82,23 +81,23 @@ module Make (F : Field.S) = struct
     | None -> warm
     | exception Division_by_zero -> warm
 
-  let solve ?pricing ?budget ?on_stall ?(maximize = false) (p : F.t Lp_problem.t) =
+  let solve ?pricing ?budget ?(maximize = false) (p : F.t Lp_problem.t) =
     instrumented ~what:"solve" p @@ fun () ->
-    R.solve ?pricing ?budget ?on_stall ~maximize p
+    R.solve ?pricing ?budget ~maximize p
 
-  let feasible ?pricing ?budget ?on_stall p =
-    match solve ?pricing ?budget ?on_stall { p with Lp_problem.objective = [] } with
+  let feasible ?pricing ?budget p =
+    match solve ?pricing ?budget { p with Lp_problem.objective = [] } with
     | Optimal s -> Some s
     | Infeasible -> None
     | Unbounded -> assert false
 
-  let feasible_basis ?pricing ?budget ?on_stall ?warm (p : F.t Lp_problem.t) =
+  let feasible_basis ?pricing ?budget ?warm (p : F.t Lp_problem.t) =
     instrumented ~what:"feasible_basis" p @@ fun () ->
     let warm = match warm with Some [] -> None | w -> w in
     let warm =
       if Engine.presolve_enabled () && F.exact then presolve_hint p warm else warm
     in
-    R.feasible_basis ?pricing ?budget ?on_stall ?warm p
+    R.feasible_basis ?pricing ?budget ?warm p
 
   let solve_certified (p : F.t Lp_problem.t) =
     instrumented ~what:"solve_certified" p @@ fun () -> R.solve_certified p
@@ -153,9 +152,9 @@ module Make (F : Field.S) = struct
     in
     dual_feasible && F.sign (F.sub cx !yb) = 0 && F.sign (F.sub cx c.primal.objective) = 0
 
-  let feasible_certified ?pricing ?budget ?on_stall p =
+  let feasible_certified ?pricing ?budget p =
     instrumented ~what:"feasible_certified" p @@ fun () ->
-    R.feasible_certified ?pricing ?budget ?on_stall p
+    R.feasible_certified ?pricing ?budget p
 
   (* Independent verification of a Farkas certificate: y respects the
      row-sense sign conditions, prices every variable column

@@ -33,11 +33,6 @@ val consumed : budget -> int
 exception Pivot_limit
 (** Raised mid-solve when the supplied {!budget} runs out. *)
 
-exception Stall
-(** Raised instead of the silent Bland fallback when a solve is run with
-    [~on_stall:`Fail] and Dantzig pricing exceeds the degenerate-pivot
-    threshold. *)
-
 module Make (F : Field.S) : sig
   type solution = Revised.Make(F).solution = {
     x : F.t array;  (** values of the original decision variables *)
@@ -57,18 +52,15 @@ module Make (F : Field.S) : sig
   val solve :
     ?pricing:pricing ->
     ?budget:budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?maximize:bool ->
     F.t Lp_problem.t ->
     result
   (** Minimises the objective by default.  [budget] meters pivots
-      (raising {!Pivot_limit} when exhausted); [on_stall] selects the
-      degeneracy response (default [`Bland], the silent rule switch). *)
+      (raising {!Pivot_limit} when exhausted). *)
 
   val feasible :
     ?pricing:pricing ->
     ?budget:budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     F.t Lp_problem.t ->
     solution option
   (** Phase-1 only: [Some] basic feasible solution, or [None].  The
@@ -77,7 +69,6 @@ module Make (F : Field.S) : sig
   val feasible_basis :
     ?pricing:pricing ->
     ?budget:budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?warm:Basis.t ->
     F.t Lp_problem.t ->
     (solution * Basis.t) option
@@ -105,7 +96,6 @@ module Make (F : Field.S) : sig
   val feasible_certified :
     ?pricing:pricing ->
     ?budget:budget ->
-    ?on_stall:[ `Bland | `Fail ] ->
     F.t Lp_problem.t ->
     feasibility
   (** Like {!feasible} but returns the Farkas certificate on the

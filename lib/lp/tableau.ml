@@ -87,12 +87,10 @@ module Make (F : Field.S) = struct
   (* Dantzig pricing does not terminate on its own under degeneracy; we
      count consecutive zero-progress (degenerate) pivots and fall back to
      Bland's rule permanently once they exceed a threshold, which
-     guarantees termination from any basis.  [on_stall] picks what
-     happens at the threshold: [`Bland] switches rules silently,
-     [`Fail] raises {!Pivot_budget.Stall}.  [budget], if given, is
+     guarantees termination from any basis.  [budget], if given, is
      decremented once per pivot across every call sharing it;
      {!Pivot_budget.Pivot_limit} is raised when it runs dry. *)
-  let optimize ?(pricing = R.Dantzig) ?budget ?(on_stall = `Bland) t cost ~max_col =
+  let optimize ?(pricing = R.Dantzig) ?budget t cost ~max_col =
     let charge () = Pivot_budget.charge budget in
     let degenerate_limit = (2 * t.ncols) + 16 in
     let rec go pricing degenerate =
@@ -108,10 +106,7 @@ module Make (F : Field.S) = struct
               pivot t cost ~row ~col;
               if pricing = R.Bland then go R.Bland 0
               else if zero_progress then
-                if degenerate + 1 > degenerate_limit then
-                  match on_stall with
-                  | `Bland -> go R.Bland 0
-                  | `Fail -> raise Pivot_budget.Stall
+                if degenerate + 1 > degenerate_limit then go R.Bland 0
                 else go pricing (degenerate + 1)
               else go pricing 0)
     in
@@ -180,7 +175,7 @@ module Make (F : Field.S) = struct
 
   (* Phase 1: minimise the sum of artificial variables; [true] iff the
      optimum is zero, i.e. the problem is feasible. *)
-  let phase1 ?pricing ?budget ?on_stall t =
+  let phase1 ?pricing ?budget t =
     let cost = Array.make (t.ncols + 1) F.zero in
     for j = t.art_start to t.ncols - 1 do
       cost.(j) <- F.one
@@ -194,7 +189,7 @@ module Make (F : Field.S) = struct
             cost.(j) <- F.sub cost.(j) row.(j)
           done)
       t.basis;
-    match optimize ?pricing ?budget ?on_stall t cost ~max_col:t.ncols with
+    match optimize ?pricing ?budget t cost ~max_col:t.ncols with
     | `Unbounded ->
         (* The phase-1 objective is bounded below by zero. *)
         assert false
@@ -244,7 +239,7 @@ module Make (F : Field.S) = struct
       t.basis;
     { x; objective; basic }
 
-  let solve ?pricing ?budget ?on_stall ?(maximize = false) (p : F.t Lp_problem.t) :
+  let solve ?pricing ?budget ?(maximize = false) (p : F.t Lp_problem.t) :
       R.result =
     let p =
       if maximize then
@@ -252,7 +247,7 @@ module Make (F : Field.S) = struct
       else p
     in
     let t = build p in
-    if not (phase1 ?pricing ?budget ?on_stall t) then Infeasible
+    if not (phase1 ?pricing ?budget t) then Infeasible
     else begin
       let cost = Array.make (t.ncols + 1) F.zero in
       List.iter
@@ -270,7 +265,7 @@ module Make (F : Field.S) = struct
             done
           end)
         t.basis;
-      match optimize ?pricing ?budget ?on_stall t cost ~max_col:t.art_start with
+      match optimize ?pricing ?budget t cost ~max_col:t.art_start with
       | `Unbounded -> Unbounded
       | `Optimal ->
           let obj = F.neg cost.(t.ncols) in

@@ -17,12 +17,9 @@ module Make (F : Field.S) : sig
   val solve :
     ?pricing:Revised.Make(F).pricing ->
     ?budget:Pivot_budget.t ->
-    ?on_stall:[ `Bland | `Fail ] ->
     ?maximize:bool ->
     F.t Lp_problem.t ->
     Revised.Make(F).result
   (** Minimises the objective by default.  [budget] meters pivots
-      (raising {!Pivot_budget.Pivot_limit} when exhausted); [on_stall]
-      selects the degeneracy response (default [`Bland], the silent rule
-      switch; [`Fail] raises {!Pivot_budget.Stall}). *)
+      (raising {!Pivot_budget.Pivot_limit} when exhausted). *)
 end

@@ -4,9 +4,10 @@
    - the parser: corrupted/malformed text must yield [Error], never raise;
    - the validators: structural mutations violating laminarity or
      monotonicity must be caught;
-   - the solver pipeline: a budget exhaustion injected at any stage must
-     either degrade to a re-certified 2-approximate schedule ([`Fallback])
-     or surface as a typed [Budget_exhausted] error ([`Fail]).
+   - the solver pipeline: a budget exhaustion injected on the exact path
+     must degrade to a re-certified 2-approximate schedule ([`Fallback])
+     or surface as a typed [Budget_exhausted] error ([`Fail]); one
+     injected on the LP path, the last one, always surfaces.
 
    Everything is deterministic: the fuzz streams are SplitMix64 with
    fixed seeds, so a failure here reproduces exactly. *)
@@ -72,24 +73,21 @@ let check_valid_2approx ~what (o : Approx.robust_outcome) =
     Alcotest.failf "%s: makespan %d exceeds 2x lower bound %d" what o.Approx.r_makespan
       o.Approx.r_lower_bound
 
-(* Injecting a fault into any LP-path stage must still end in a valid
-   schedule: the Dantzig attempt absorbs the injection, Bland's rule
-   finishes the job. *)
+(* The LP path is the last one, so a fault injected into any of its
+   stages surfaces exactly like a real LP budget exhaustion: a typed
+   [Budget_exhausted] for that same stage, exit code 4. *)
 let test_inject_lp_stages () =
   List.iter
     (fun stage ->
       let what = "inject " ^ Hs_error.stage_name stage in
       match Approx.solve_robust ~inject:stage pipeline_instance with
-      | Error e -> Alcotest.failf "%s: no fallback succeeded: %s" what (Hs_error.to_string e)
-      | Ok o ->
-          check_valid_2approx ~what o;
-          (match o.Approx.r_provenance with
-          | Approx.Lp_approx _ -> ()
-          | Approx.Exact_optimal -> Alcotest.failf "%s: unexpected exact path" what);
-          Alcotest.(check bool)
-            (what ^ ": degradation recorded")
-            true
-            (o.Approx.r_fallbacks <> []))
+      | Error (Hs_error.Budget_exhausted { stage = s; detail } as e) ->
+          Alcotest.(check string) (what ^ ": stage") (Hs_error.stage_name stage)
+            (Hs_error.stage_name s);
+          Alcotest.(check string) (what ^ ": detail") "injected fault" detail;
+          Alcotest.(check int) (what ^ ": exit code") 4 (Hs_error.exit_code e)
+      | Error e -> Alcotest.failf "%s: wrong error: %s" what (Hs_error.to_string e)
+      | Ok _ -> Alcotest.failf "%s: the injected fault was absorbed" what)
     [ Hs_error.Search; Hs_error.Lp; Hs_error.Rounding ]
 
 (* With a node budget configured the exact path runs first; injecting a
@@ -104,13 +102,12 @@ let test_inject_exact_stages () =
       | Ok o ->
           check_valid_2approx ~what o;
           (match o.Approx.r_provenance with
-          | Approx.Lp_approx { pricing = `Dantzig; _ } -> ()
-          | p -> Alcotest.failf "%s: expected Dantzig fallback, got %s" what
-                   (Approx.provenance_to_string p));
-          Alcotest.(check bool)
-            (what ^ ": degradation recorded")
-            true
-            (o.Approx.r_fallbacks <> []))
+          | Approx.Lp_approx -> ()
+          | Approx.Exact_optimal -> Alcotest.failf "%s: expected the LP fallback" what);
+          match o.Approx.r_fallbacks with
+          | [ Hs_error.Budget_exhausted { stage = s; _ } ] when s = stage -> ()
+          | _ -> Alcotest.failf "%s: expected exactly one %s exhaustion record" what
+                   (Hs_error.stage_name stage))
     [ Hs_error.Bb; Hs_error.Sched ]
 
 (* A genuinely exhausted node budget (no injection) takes the same
@@ -121,7 +118,7 @@ let test_real_node_exhaustion () =
   | Ok o ->
       check_valid_2approx ~what:"node exhaustion" o;
       (match o.Approx.r_provenance with
-      | Approx.Lp_approx _ -> ()
+      | Approx.Lp_approx -> ()
       | Approx.Exact_optimal -> Alcotest.fail "50 nodes cannot prove this instance");
       (match o.Approx.r_fallbacks with
       | [ Hs_error.Budget_exhausted { stage = Hs_error.Bb; _ } ] -> ()
@@ -163,7 +160,7 @@ let suite =
       u "parser survives 500 corrupted inputs" test_parser_never_raises;
       u "malformed corpus rejected" test_malformed_corpus_rejected;
       u "validators catch structural mutations" test_validators_catch_mutations;
-      u "inject: LP-path stages degrade safely" test_inject_lp_stages;
+      u "inject: LP-path stages surface typed errors" test_inject_lp_stages;
       u "inject: exact-path stages degrade safely" test_inject_exact_stages;
       u "real node-budget exhaustion falls back" test_real_node_exhaustion;
       u "fail mode surfaces typed budget errors" test_fail_mode_surfaces_error;
