@@ -1,50 +1,86 @@
-(* Sign-magnitude arbitrary-precision integers.
+(* Arbitrary-precision integers with a native-int fast path.
 
-   Magnitudes are little-endian arrays of limbs in base 2^24.  The base is
-   chosen so that a two-limb window (used by the division routine) and a
-   limb product plus carries fit in a 63-bit native int.  Invariants:
+   A value is [Small k] when it fits in a native int and [Big b] only when
+   it does not, so the representation is canonical: structural equality
+   is integer equality.  Operations on [Small] operands run on native ints
+   with an overflow check; an operation that overflows, and every
+   operation with a [Big] operand, runs the limb code below, whose results
+   all leave through [of_limbs], which demotes in-range values back to
+   [Small].
+
+   [Big] magnitudes are little-endian arrays of limbs in base 2^24.  The
+   base is chosen so that a two-limb window (used by the division
+   routine) and a limb product plus carries fit in a 63-bit native int.
+   Invariants of a [Big]:
    - no trailing (most-significant) zero limb,
-   - [sign = 0] iff the magnitude is empty, otherwise [sign] is [1]/[-1]. *)
+   - [sign] is [1] or [-1],
+   - the value lies outside the native range [min_int, max_int]. *)
 
-type t = { sign : int; mag : int array }
+type big = { sign : int; mag : int array }
+type t = Small of int | Big of big
 
 let base_bits = 24
 let base = 1 lsl base_bits
 let base_mask = base - 1
 
-let zero = { sign = 0; mag = [||] }
-let one = { sign = 1; mag = [| 1 |] }
-let minus_one = { sign = -1; mag = [| 1 |] }
+let zero = Small 0
+let one = Small 1
+let minus_one = Small (-1)
 
-let check_invariant x =
-  let n = Array.length x.mag in
-  let trimmed = n = 0 || x.mag.(n - 1) <> 0 in
-  let in_range = Array.for_all (fun l -> l >= 0 && l < base) x.mag in
-  let sign_ok =
-    if n = 0 then x.sign = 0 else x.sign = 1 || x.sign = -1
-  in
-  trimmed && in_range && sign_ok
+(* Whether the trimmed [n]-limb magnitude [mag] with sign [sign] fits a
+   native int.  2^62 = 2^14 * base^2, so up to three limbs fit while the
+   top limb stays below 2^14; at 2^14 only -2^62 = min_int fits. *)
+let limbs_fit sign mag n =
+  n < 3
+  || n = 3
+     && (mag.(2) < 1 lsl 14
+        || (sign < 0 && mag.(2) = 1 lsl 14 && mag.(1) = 0 && mag.(0) = 0))
 
-(* Drop most-significant zero limbs and fix the sign of a raw magnitude. *)
-let normalize sign mag =
-  let n = ref (Array.length mag) in
+(* The single exit of the limb code: trim most-significant zero limbs and
+   demote values that fit a native int to [Small].  For min_int the
+   magnitude 2^62 wraps to min_int and [sign * min_int = min_int]. *)
+let of_limbs sign mag =
+  let len = Array.length mag in
+  let n = ref len in
   while !n > 0 && mag.(!n - 1) = 0 do decr n done;
-  if !n = 0 then zero
-  else if !n = Array.length mag then { sign; mag }
-  else { sign; mag = Array.sub mag 0 !n }
+  let n = !n in
+  if n = 0 then zero
+  else if limbs_fit sign mag n then begin
+    let m = ref 0 in
+    for i = n - 1 downto 0 do m := (!m lsl base_bits) lor mag.(i) done;
+    Small (sign * !m)
+  end
+  else Big { sign; mag = (if n = len then mag else Array.sub mag 0 n) }
 
-let sign x = x.sign
-let is_zero x = x.sign = 0
+(* Limb magnitude of |k|, min_int included: work on the non-positive
+   value, for which |k| = sum of (-(k mod base)) * base^i, k := k / base. *)
+let mag_of_int k =
+  let r = Array.make 3 0 in
+  let k = ref (if k > 0 then -k else k) and n = ref 0 in
+  while !k <> 0 do
+    r.(!n) <- - (!k mod base);
+    k := !k / base;
+    incr n
+  done;
+  if !n = 3 then r else Array.sub r 0 !n
 
-let of_int k =
-  if k = 0 then zero
-  else
-    let s = if k > 0 then 1 else -1 in
-    (* Work on the non-positive value to avoid [abs min_int] overflow:
-       for k <= 0, |k| = sum of (-(k mod base)) * base^i with k := k / base. *)
-    let rec limbs k = if k = 0 then [] else - (k mod base) :: limbs (k / base) in
-    let l = limbs (if k > 0 then -k else k) in
-    { sign = s; mag = Array.of_list l }
+let to_big = function
+  | Big b -> b
+  | Small k -> { sign = Stdlib.compare k 0; mag = mag_of_int k }
+
+let check_invariant = function
+  | Small _ -> true
+  | Big { sign; mag } ->
+      let n = Array.length mag in
+      n > 0
+      && mag.(n - 1) <> 0
+      && Array.for_all (fun l -> l >= 0 && l < base) mag
+      && (sign = 1 || sign = -1)
+      && not (limbs_fit sign mag n)
+
+let sign = function Small k -> Stdlib.compare k 0 | Big b -> b.sign
+let is_zero = function Small 0 -> true | _ -> false
+let of_int k = Small k
 
 let compare_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -57,31 +93,28 @@ let compare_mag a b =
     in
     go (la - 1)
 
+(* A [Big] lies outside the native range, so it is above every [Small]
+   when positive and below every [Small] when negative. *)
 let compare x y =
-  if x.sign <> y.sign then Stdlib.compare x.sign y.sign
-  else
-    match x.sign with
-    | 0 -> 0
-    | 1 -> compare_mag x.mag y.mag
-    | _ -> compare_mag y.mag x.mag
+  match (x, y) with
+  | Small a, Small b -> Int.compare a b
+  | Small _, Big b -> - b.sign
+  | Big a, Small _ -> a.sign
+  | Big a, Big b ->
+      if a.sign <> b.sign then Int.compare a.sign b.sign
+      else if a.sign > 0 then compare_mag a.mag b.mag
+      else compare_mag b.mag a.mag
 
-let equal x y = compare x y = 0
+let equal x y =
+  match (x, y) with
+  | Small a, Small b -> a = b
+  | Big a, Big b -> a.sign = b.sign && compare_mag a.mag b.mag = 0
+  | _ -> false
+
 let min x y = if compare x y <= 0 then x else y
 let max x y = if compare x y >= 0 then x else y
 
-let to_int x =
-  (* Accumulate towards negative to cover min_int. *)
-  let n = Array.length x.mag in
-  let rec go i acc =
-    if i < 0 then Some acc
-    else if acc < (Stdlib.min_int + x.mag.(i)) / base then None
-    else go (i - 1) ((acc * base) - x.mag.(i))
-  in
-  match go (n - 1) 0 with
-  | None -> None
-  | Some neg ->
-      if x.sign >= 0 then if neg = Stdlib.min_int then None else Some (-neg)
-      else Some neg
+let to_int = function Small k -> Some k | Big _ -> None
 
 let to_int_exn x =
   match to_int x with
@@ -122,19 +155,45 @@ let sub_mag a b =
   assert (!borrow = 0);
   r
 
-let add x y =
-  if x.sign = 0 then y
-  else if y.sign = 0 then x
-  else if x.sign = y.sign then normalize x.sign (add_mag x.mag y.mag)
+let add_big x y =
+  if x.sign = y.sign then of_limbs x.sign (add_mag x.mag y.mag)
   else
     let c = compare_mag x.mag y.mag in
     if c = 0 then zero
-    else if c > 0 then normalize x.sign (sub_mag x.mag y.mag)
-    else normalize y.sign (sub_mag y.mag x.mag)
+    else if c > 0 then of_limbs x.sign (sub_mag x.mag y.mag)
+    else of_limbs y.sign (sub_mag y.mag x.mag)
 
-let neg x = if x.sign = 0 then x else { x with sign = -x.sign }
-let sub x y = add x (neg y)
-let abs x = if x.sign < 0 then neg x else x
+let neg_big x = { x with sign = - x.sign }
+
+(* Native sums overflow exactly when both operands differ in sign from
+   the wrapped result. *)
+let add x y =
+  match (x, y) with
+  | Small 0, _ -> y
+  | _, Small 0 -> x
+  | Small a, Small b ->
+      let s = a + b in
+      if (a lxor s) land (b lxor s) < 0 then add_big (to_big x) (to_big y)
+      else Small s
+  | _ -> add_big (to_big x) (to_big y)
+
+let sub x y =
+  match (x, y) with
+  | _, Small 0 -> x
+  | Small a, Small b ->
+      let s = a - b in
+      if (a lxor b) land (a lxor s) < 0 then
+        add_big (to_big x) (neg_big (to_big y))
+      else Small s
+  | _ -> add_big (to_big x) (neg_big (to_big y))
+
+let neg = function
+  | Small k when k <> min_int -> Small (- k)
+  | x ->
+      let b = to_big x in
+      of_limbs (- b.sign) b.mag
+
+let abs x = if sign x < 0 then neg x else x
 
 let mul_mag_school a b =
   let la = Array.length a and lb = Array.length b in
@@ -210,12 +269,29 @@ let rec mul_mag a b =
     r
   end
 
-let mul x y =
+let mul_big x y =
   if x.sign = 0 || y.sign = 0 then zero
-  else normalize (x.sign * y.sign) (mul_mag x.mag y.mag)
+  else of_limbs (x.sign * y.sign) (mul_mag x.mag y.mag)
 
-let mul_int x k = mul x (of_int k)
-let add_int x k = add x (of_int k)
+(* Below this bound in absolute value a native product cannot overflow:
+   (2^31 - 1)^2 < 2^62. *)
+let half = 1 lsl 31
+
+let mul x y =
+  match (x, y) with
+  | Small a, Small b ->
+      if a > - half && a < half && b > - half && b < half then Small (a * b)
+      else if a = 0 || b = 0 then zero
+      else
+        (* Checked multiply: with neither operand min_int, the wrapped
+           product divides back exactly when it did not overflow. *)
+        let p = a * b in
+        if a <> min_int && b <> min_int && p / b = a then Small p
+        else mul_big (to_big x) (to_big y)
+  | _ -> mul_big (to_big x) (to_big y)
+
+let mul_int x k = mul x (Small k)
+let add_int x k = add x (Small k)
 
 (* Shift a magnitude left by [s] bits (0 <= s < base_bits). *)
 let shift_left_bits mag s =
@@ -323,10 +399,10 @@ let divmod_mag_long u v =
   let r = shift_right_bits (Array.sub un 0 n) s in
   (q, r)
 
-let divmod a b =
+let divmod_big a b =
   if b.sign = 0 then raise Division_by_zero;
   if a.sign = 0 then (zero, zero)
-  else if compare_mag a.mag b.mag < 0 then (zero, a)
+  else if compare_mag a.mag b.mag < 0 then (zero, of_limbs a.sign a.mag)
   else begin
     let qmag, rmag =
       if Array.length b.mag = 1 then begin
@@ -335,11 +411,29 @@ let divmod a b =
       end
       else divmod_mag_long a.mag b.mag
     in
-    (normalize (a.sign * b.sign) qmag, normalize a.sign rmag)
+    (of_limbs (a.sign * b.sign) qmag, of_limbs a.sign rmag)
   end
 
-let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
+(* Native [/] and [mod] truncate towards zero, as specified; the one
+   native quotient that overflows is [min_int / -1]. *)
+let divmod a b =
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y when not (x = min_int && y = -1) ->
+      (Small (x / y), Small (x mod y))
+  | _ -> divmod_big (to_big a) (to_big b)
+
+let div a b =
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y when not (x = min_int && y = -1) -> Small (x / y)
+  | _ -> fst (divmod_big (to_big a) (to_big b))
+
+let rem a b =
+  match (a, b) with
+  | _, Small 0 -> raise Division_by_zero
+  | Small x, Small y -> Small (x mod y)
+  | _ -> snd (divmod_big (to_big a) (to_big b))
 
 let fdiv a b =
   let q, r = divmod a b in
@@ -349,7 +443,15 @@ let cdiv a b =
   let q, r = divmod a b in
   if is_zero r || sign r <> sign b then q else add q one
 
-let rec gcd_aux a b = if is_zero b then a else gcd_aux b (rem a b)
+let rec gcd_int a b = if b = 0 then a else gcd_int b (a mod b)
+
+(* Operands are non-negative here: [abs min_int] is a [Big], so two
+   [Small] operands run a native Euclid. *)
+let rec gcd_aux a b =
+  match (a, b) with
+  | Small x, Small y -> Small (gcd_int x y)
+  | _ -> if is_zero b then a else gcd_aux b (rem a b)
+
 let gcd a b = gcd_aux (abs a) (abs b)
 
 let pow x k =
@@ -367,25 +469,23 @@ let pow x k =
 let dec_chunk = 10_000_000
 let dec_digits = 7
 
-let to_string x =
-  if x.sign = 0 then "0"
-  else begin
-    let buf = Buffer.create 32 in
-    let rec go mag acc =
-      if Array.length mag = 0 then acc
-      else
-        let q, r = divmod_mag_small mag dec_chunk in
-        let q = (normalize 1 q).mag in
-        go q (r :: acc)
-    in
-    match go x.mag [] with
-    | [] -> "0"
-    | first :: rest ->
-        if x.sign < 0 then Buffer.add_char buf '-';
-        Buffer.add_string buf (string_of_int first);
-        List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%07d" c)) rest;
-        Buffer.contents buf
-  end
+let to_string = function
+  | Small k -> string_of_int k
+  | Big b ->
+      let buf = Buffer.create 32 in
+      let rec go mag acc =
+        if Array.length mag = 0 then acc
+        else
+          let q, r = divmod_mag_small mag dec_chunk in
+          go (trim_mag q) (r :: acc)
+      in
+      (match go b.mag [] with
+      | [] -> ()
+      | first :: rest ->
+          if b.sign < 0 then Buffer.add_char buf '-';
+          Buffer.add_string buf (string_of_int first);
+          List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%07d" c)) rest);
+      Buffer.contents buf
 
 let of_string s =
   let len = String.length s in
@@ -413,10 +513,15 @@ let of_string s =
   end;
   if negative then neg !acc else !acc
 
-let to_float x =
-  let n = Array.length x.mag in
-  let rec go i acc = if i < 0 then acc else go (i - 1) ((acc *. float_of_int base) +. float_of_int x.mag.(i)) in
-  let m = go (n - 1) 0. in
-  if x.sign < 0 then -.m else m
+let to_float = function
+  | Small k -> float_of_int k
+  | Big b ->
+      let n = Array.length b.mag in
+      let rec go i acc =
+        if i < 0 then acc
+        else go (i - 1) ((acc *. float_of_int base) +. float_of_int b.mag.(i))
+      in
+      let m = go (n - 1) 0. in
+      if b.sign < 0 then -.m else m
 
 let pp fmt x = Format.pp_print_string fmt (to_string x)

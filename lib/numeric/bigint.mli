@@ -1,9 +1,17 @@
 (** Arbitrary-precision signed integers.
 
     Built from scratch because [zarith] is not available in this
-    environment.  The representation is sign-magnitude with little-endian
-    limbs in base [2^24], so every intermediate product of two limbs fits
-    comfortably in OCaml's 63-bit native [int].
+    environment.  A value is either a native [int] or, only when it does
+    not fit one, a sign-magnitude array of little-endian limbs in base
+    [2^24] (so every intermediate product of two limbs fits comfortably
+    in OCaml's 63-bit native [int]).
+
+    Canonical form: a value is held as a native [int] if and only if it
+    lies between [min_int] and [max_int], so two values are equal exactly
+    when they are structurally equal.  Operations on native operands run on
+    native arithmetic with an overflow check; an overflowing operation,
+    and any operation with a limb operand, runs the limb code, whose
+    results are demoted back to native [int]s whenever they fit.
 
     The module provides exactly the operations required by the exact
     rational field {!Q} and the simplex solver built on top of it:
@@ -97,6 +105,7 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Internal consistency} *)
 
-(** [check_invariant x] verifies the sign/magnitude representation
-    invariants; used by the test-suite. *)
+(** [check_invariant x] verifies the representation invariants,
+    canonical form included (a limb value lies outside the native
+    range); used by the test-suite. *)
 val check_invariant : t -> bool

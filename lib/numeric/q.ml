@@ -11,6 +11,7 @@ let minus_one = { n = B.minus_one; d = B.one }
 let make num den =
   if B.is_zero den then raise Division_by_zero;
   if B.is_zero num then zero
+  else if B.equal den B.one then { n = num; d = den }
   else begin
     let num, den = if B.sign den < 0 then (B.neg num, B.neg den) else (num, den) in
     let g = B.gcd num den in
@@ -46,29 +47,41 @@ let gt x y = compare x y > 0
 let neg x = { x with n = B.neg x.n }
 let abs x = { x with n = B.abs x.n }
 
-let add x y =
-  if is_zero x then y
-  else if is_zero y then x
-  else if B.equal x.d y.d then make (B.add x.n y.n) x.d
-  else make (B.add (B.mul x.n y.d) (B.mul y.n x.d)) (B.mul x.d y.d)
+(* [x + n/d] for canonical [n/d]: the body of [add] and of [sub], which
+   passes [-y] as parts instead of allocating it. *)
+let add_parts x n d =
+  if B.is_zero n then x
+  else if is_zero x then { n; d }
+  else if is_integer x && B.equal d B.one then { n = B.add x.n n; d = B.one }
+  else if B.equal x.d d then make (B.add x.n n) d
+  else make (B.add (B.mul x.n d) (B.mul n x.d)) (B.mul x.d d)
 
-let sub x y = add x (neg y)
+let add x y = if is_zero x then y else add_parts x y.n y.d
+let sub x y = add_parts x (B.neg y.n) y.d
 
-let mul x y =
-  if is_zero x || is_zero y then zero
+(* [x * (n/d)] for canonical [n/d]: the body of [mul] and of [div],
+   which passes [1/y] as parts instead of allocating it. *)
+let mul_parts x n d =
+  if is_zero x || B.is_zero n then zero
+  else if is_integer x && B.equal d B.one then { n = B.mul x.n n; d = B.one }
   else begin
     (* Cross-reduce before multiplying to keep intermediates small. *)
-    let g1 = B.gcd x.n y.d and g2 = B.gcd y.n x.d in
-    let n = B.mul (B.div x.n g1) (B.div y.n g2) in
-    let d = B.mul (B.div x.d g2) (B.div y.d g1) in
+    let g1 = B.gcd x.n d and g2 = B.gcd n x.d in
+    let n = B.mul (B.div x.n g1) (B.div n g2) in
+    let d = B.mul (B.div x.d g2) (B.div d g1) in
     { n; d }
   end
+
+let mul x y = mul_parts x y.n y.d
 
 let inv x =
   if is_zero x then raise Division_by_zero;
   if B.sign x.n < 0 then { n = B.neg x.d; d = B.neg x.n } else { n = x.d; d = x.n }
 
-let div x y = mul x (inv y)
+let div x y =
+  if is_zero y then raise Division_by_zero;
+  if B.sign y.n < 0 then mul_parts x (B.neg y.d) (B.neg y.n) else mul_parts x y.d y.n
+
 let mul_int x k = mul x (of_int k)
 let div_int x k = div x (of_int k)
 
@@ -77,7 +90,22 @@ let ceil x = B.cdiv x.n x.d
 let floor_int x = B.to_int_exn (floor x)
 let ceil_int x = B.to_int_exn (ceil x)
 
-let to_float x = B.to_float x.n /. B.to_float x.d
+(* Bits to drop from [b] so that about 60 significant bits remain.  A
+   [k]-digit decimal has between [3.32 (k - 1)] and [3.32 k] bits. *)
+let excess_bits b =
+  let digits = String.length (B.to_string (B.abs b)) in
+  Stdlib.max 0 (int_of_float (float_of_int digits *. 3.3219281) - 60)
+
+(* When a part is beyond float range, dividing the converted parts gives
+   inf/inf = NaN or a spurious 0 or inf; scale both parts down to about
+   60 bits first and put the difference back into the exponent. *)
+let to_float x =
+  let fn = B.to_float x.n and fd = B.to_float x.d in
+  if Float.is_finite fn && Float.is_finite fd then fn /. fd
+  else
+    let en = excess_bits x.n and ed = excess_bits x.d in
+    let scaled b e = B.to_float (B.div b (B.pow (B.of_int 2) e)) in
+    Float.ldexp (scaled x.n en /. scaled x.d ed) (en - ed)
 
 let to_string x =
   if is_integer x then B.to_string x.n

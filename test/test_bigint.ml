@@ -24,9 +24,20 @@ let test_of_int_roundtrip () =
     [ 0; 1; -1; 42; -42; max_int; min_int; max_int - 1; min_int + 1; 1 lsl 40 ]
 
 let test_min_int_magnitude () =
-  (* |min_int| is not representable as an int; the bigint must carry it. *)
-  check_b "neg min_int" (B.neg (bi min_int)) (bs "4611686018427387904");
-  Alcotest.(check (option int)) "overflow detected" None (B.to_int (B.neg (bi min_int)))
+  (* |min_int| is not representable as an int; the bigint must carry it,
+     and every way back into range must land on the canonical form. *)
+  let m = B.neg (bi min_int) in
+  check_b "neg min_int" m (bs "4611686018427387904");
+  Alcotest.(check (option int)) "overflow detected" None (B.to_int m);
+  let results =
+    [ m; B.abs (bi min_int); B.neg m; B.sub B.zero m; B.add m B.minus_one;
+      B.mul (bi min_int) B.minus_one; B.div (bi min_int) B.minus_one;
+      B.gcd (bi min_int) B.zero; B.sub (bi min_int) B.one ]
+  in
+  Alcotest.(check bool) "invariants" true (List.for_all B.check_invariant results);
+  Alcotest.(check (option int)) "neg neg min_int" (Some min_int) (B.to_int (B.neg m));
+  Alcotest.(check (option int)) "back to max_int" (Some max_int)
+    (B.to_int (B.add m B.minus_one))
 
 let test_string_roundtrip () =
   List.iter
@@ -191,6 +202,100 @@ let prop_compare_total_order =
   QCheck.Test.make ~name:"compare consistent with sub" ~count:500 big_pair
     (fun (a, b) -> compare (B.compare a b) 0 = compare (B.sign (B.sub a b)) 0)
 
+(* Differential suite: the native-int fast path against the limb path.
+   Operands sit on the overflow boundaries of 63-bit arithmetic; each
+   identity reaches the same value once directly and once through
+   intermediates of at least 2^100, which only the limb code can hold. *)
+
+let boundary_gen =
+  QCheck.Gen.(
+    let* k = int_range 0 3 and* s = oneofl [ 1; -1 ] in
+    oneof
+      [
+        oneofl [ 0; 1; -1; max_int; min_int ];
+        return (max_int - k);
+        return (min_int + k);
+        return (s * ((1 lsl 62) - 1 - k));
+        return (s * ((1 lsl 31) + k));
+        return (s * ((1 lsl 31) - k));
+        map (( * ) s) (int_range (1 lsl 30) (1 lsl 33));
+        int;
+      ])
+
+let boundary_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Printf.sprintf "%d, %d" a b)
+    (QCheck.Gen.pair boundary_gen boundary_gen)
+
+let k100 = B.pow (bi 2) 100
+
+let all_canonical = List.for_all B.check_invariant
+
+let prop_fast_add =
+  QCheck.Test.make ~name:"fast add = limb add" ~count:2000 boundary_pair
+    (fun (a, b) ->
+      let a = bi a and b = bi b in
+      let fast = B.add a b and slow = B.sub (B.add (B.add a k100) b) k100 in
+      all_canonical [ fast; slow ] && B.equal fast slow)
+
+let prop_fast_sub_neg =
+  QCheck.Test.make ~name:"fast sub/neg = limb sub/neg" ~count:2000 boundary_pair
+    (fun (a, b) ->
+      let a = bi a and b = bi b in
+      let d = B.sub a b and d' = B.sub (B.add a k100) (B.add b k100) in
+      let n = B.neg a and n' = B.sub k100 (B.add k100 a) in
+      all_canonical [ d; d'; n; n'; B.abs a ]
+      && B.equal d d' && B.equal n n'
+      && B.equal (B.neg n) a
+      && B.equal (B.abs a) (if B.sign a < 0 then n else a))
+
+let prop_fast_mul =
+  QCheck.Test.make ~name:"fast mul = limb mul" ~count:2000 boundary_pair
+    (fun (a, b) ->
+      let a = bi a and b = bi b in
+      let fast = B.mul a b and slow = B.sub (B.mul a (B.add b k100)) (B.mul a k100) in
+      all_canonical [ fast; slow ] && B.equal fast slow)
+
+let prop_fast_divmod =
+  QCheck.Test.make ~name:"fast divmod = limb divmod" ~count:2000 boundary_pair
+    (fun (a, b) ->
+      QCheck.assume (b <> 0);
+      let a = bi a and b = bi b in
+      let q, r = B.divmod a b in
+      (* Scaling both operands by 2^100 keeps the quotient and scales the
+         remainder, through the limb division. *)
+      let q', r' = B.divmod (B.mul a k100) (B.mul b k100) in
+      all_canonical [ q; r; q'; r'; B.div a b; B.rem a b ]
+      && B.equal a (B.add (B.mul q b) r)
+      && B.compare (B.abs r) (B.abs b) < 0
+      && (B.is_zero r || B.sign r = B.sign a)
+      && B.equal q q'
+      && B.equal r' (B.mul r k100)
+      && B.equal (B.div a b) q
+      && B.equal (B.rem a b) r)
+
+let prop_fast_gcd =
+  QCheck.Test.make ~name:"fast gcd = limb gcd" ~count:2000 boundary_pair
+    (fun (a, b) ->
+      let a = bi a and b = bi b in
+      let g = B.gcd a b and g' = B.gcd (B.add a (B.mul k100 b)) b in
+      all_canonical [ g; g' ] && B.equal g g' && B.sign g >= 0)
+
+let prop_fast_compare_convert =
+  QCheck.Test.make ~name:"fast compare/conversions = limb" ~count:2000
+    boundary_pair (fun (a, b) ->
+      let x = bi a and y = bi b in
+      let x' = B.add x k100 and y' = B.add y k100 in
+      B.compare x y = B.compare x' y'
+      && B.compare x y = compare a b
+      && B.sign x = compare a 0
+      && B.to_int x = Some a
+      && B.to_int x' = None
+      && B.to_string x = string_of_int a
+      && B.equal (B.of_string (string_of_int a)) x
+      && B.to_float x = float_of_int a
+      && B.check_invariant x')
+
 let prop_gcd_divides =
   QCheck.Test.make ~name:"gcd divides both" ~count:300 big_pair (fun (a, b) ->
       QCheck.assume (not (B.is_zero a) || not (B.is_zero b));
@@ -223,4 +328,10 @@ let suite =
       q prop_string_roundtrip;
       q prop_compare_total_order;
       q prop_gcd_divides;
+      q prop_fast_add;
+      q prop_fast_sub_neg;
+      q prop_fast_mul;
+      q prop_fast_divmod;
+      q prop_fast_gcd;
+      q prop_fast_compare_convert;
     ] )

@@ -14,6 +14,12 @@ let test_ptime () =
   Alcotest.(check bool) "fits strict" false (Ptime.fits (fin 6) ~tmax:5);
   Alcotest.(check bool) "inf never fits" false (Ptime.fits Ptime.Inf ~tmax:1000000);
   Alcotest.(check (option int)) "value" (Some 5) (Ptime.value (fin 5));
+  (* small values share one block; values on both sides of the shared
+     range keep their value *)
+  List.iter
+    (fun v -> Alcotest.(check (option int)) "value" (Some v) (Ptime.value (fin v)))
+    [ 0; 1023; 1024; 1_000_000 ];
+  Alcotest.(check bool) "small values shared" true (fin 7 == fin 7);
   Alcotest.check_raises "negative" (Invalid_argument "Ptime.fin: negative processing time")
     (fun () -> ignore (fin (-1)))
 
